@@ -64,6 +64,7 @@ DEFAULT_CHECKS = {
     ],
     "BENCH_stream.json": [
         ("ingest/events_per_s", "higher", 0.50),
+        ("ingest_batched/events_per_s", "higher", 0.50),
         ("windows/per_minute", "higher", 0.50),
         ("windows/fit_mean_s", "lower", 3.00),
         ("union_query/warm_mean_ms", "lower", 3.00),

@@ -39,10 +39,10 @@ from repro.store import SynopsisStore
 from repro.stream import (
     BudgetSchedule,
     CountWindowPolicy,
+    EventBatch,
     TimeWindowPolicy,
     WindowScheduler,
     WindowShard,
-    as_event,
     read_jsonl_events,
 )
 
@@ -76,8 +76,7 @@ def write_events(path: pathlib.Path, windows: int) -> list[dict]:
 
 def ground_truth(events: list[dict], lo: int, hi: int) -> np.ndarray:
     shard = WindowShard(D, chunk_records=64)
-    for event in events[lo:hi]:
-        shard.add(as_event(event))
+    shard.add_rows(EventBatch.from_events(events[lo:hi]).rows(D))
     return shard.finish().marginal(ATTRS).counts
 
 

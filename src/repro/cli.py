@@ -708,7 +708,6 @@ def _cmd_stream(args) -> int:
         CountWindowPolicy,
         TimeWindowPolicy,
         WindowScheduler,
-        iter_events,
         read_jsonl_events,
     )
 
@@ -719,9 +718,7 @@ def _cmd_stream(args) -> int:
             args.window_seconds, lateness=args.lateness, origin=args.origin
         )
     if args.input == "-":
-        events = iter_events(
-            _json.loads(line) for line in sys.stdin if line.strip()
-        )
+        events = (_json.loads(line) for line in sys.stdin if line.strip())
     else:
         events = read_jsonl_events(args.input)
     store = SynopsisStore(args.store)

@@ -37,6 +37,12 @@ log = get_logger("serve")
 
 DEFAULT_MAX_ENGINES = 8
 
+#: File mtimes come from the kernel's coarse clock, so two manifest
+#: writes less than one tick apart (up to 10 ms at HZ=100) can share an
+#: mtime.  A recorded mtime younger than this is not trusted to mean
+#: "unchanged": watch polls reload until it has aged past it.
+_MTIME_TICK_S = 0.05
+
 
 class _Hosted:
     """One resolved dataset version and its live engine."""
@@ -109,6 +115,7 @@ class EngineRouter:
         self._building: dict[str, threading.Lock] = {}
         self._closed = False
         self._manifest_mtime = store.manifest_mtime()
+        self._mtime_settled = time() - self._manifest_mtime >= _MTIME_TICK_S
         self._swaps = 0
         self._reloads = 0
         self._last_poll_mono: float | None = None
@@ -221,9 +228,9 @@ class EngineRouter:
         with self._lock:
             self._last_poll_mono = monotonic()
             self._last_poll_ts = time()
-            if mtime == self._manifest_mtime:
+            if mtime == self._manifest_mtime and self._mtime_settled:
                 return None
-        return self.reload()
+        return self._reload(mtime)
 
     def reload(self) -> dict:
         """Re-resolve every hosted dataset; swap the changed ones.
@@ -233,10 +240,13 @@ class EngineRouter:
         version until the replacement is ready; retired engines close
         once their last in-flight lease drains.  Returns a summary.
         """
-        mtime = self.store.manifest_mtime()
+        return self._reload(self.store.manifest_mtime())
+
+    def _reload(self, mtime: float) -> dict:
         with self._lock:
             hosted_now = list(self._hosted.items())
             self._manifest_mtime = mtime
+            self._mtime_settled = time() - mtime >= _MTIME_TICK_S
             self._reloads += 1
         swapped, unchanged, dropped = [], [], []
         retired: list[_Hosted] = []

@@ -17,6 +17,7 @@ Store-backed (multi-dataset) endpoints, when constructed with
   ``POST /v1/d/{name}/sample`` — the same protocol, routed to the
   named dataset's engine (built lazily, LRU-evicted, 404 for
   unknown names);
+* ``GET|POST /v1/d/{name}/stats`` — that dataset's engine statistics;
 * ``GET  /v1/datasets`` — every published dataset and what's serving;
 * ``POST /v1/reload``   — re-resolve against the store and hot-swap
   newly published versions with zero dropped in-flight requests;
@@ -225,8 +226,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {"datasets": self.router.datasets()})
         elif (
             (routed := self._split_dataset_path(self.path)) is not None
-            and routed[1] == "windows"
+            and routed[1] == "stats"
         ):
+            self._dispatch_dataset(*routed)
+        elif routed is not None and routed[1] == "windows":
             if self.router is None:
                 raise QueryError(
                     "this server hosts a single source; window listings "

@@ -1,6 +1,7 @@
 """repro.stream: continuous ingestion, windowed DP releases, live serving.
 
-The streaming vertical over the PriView pipeline: events flow into
+The streaming vertical over the PriView pipeline: events, normalised
+in columnar batches (:mod:`~repro.stream.events`), flow into
 tumbling windows (:mod:`~repro.stream.windows`), each closed window is
 fitted under a per-window epsilon from a :class:`BudgetSchedule` and
 auto-published to the synopsis store (:mod:`~repro.stream.scheduler`),
@@ -11,10 +12,11 @@ window's epsilon — and the budget ledger proves it exactly.
 """
 
 from repro.stream.events import (
+    BATCH,
     Event,
+    EventBatch,
     StreamError,
     as_event,
-    iter_events,
     read_jsonl_events,
 )
 from repro.stream.query import (
@@ -34,10 +36,12 @@ from repro.stream.windows import (
 )
 
 __all__ = [
+    "BATCH",
     "BudgetSchedule",
     "ClosedWindow",
     "CountWindowPolicy",
     "Event",
+    "EventBatch",
     "StreamError",
     "TimeWindowPolicy",
     "WindowRecord",
@@ -47,7 +51,6 @@ __all__ = [
     "WindowSlice",
     "answer_windows",
     "as_event",
-    "iter_events",
     "iter_windows",
     "list_windows",
     "read_jsonl_events",

@@ -17,8 +17,15 @@ closed window, in close order.  Two policies:
   a released DP synopsis is immutable, so re-opening it would either
   leak budget or corrupt the ledger's parallel-composition audit.
 
-Shards are packed **incrementally**: events accumulate into a small
-row buffer that is bit-packed (:func:`repro.kernels.packed.
+Ingestion is columnar: events arrive as :class:`~repro.stream.events.
+EventBatch` runs, a policy routes a whole batch at once
+(:meth:`TimeWindowPolicy.route_batch`), and each window's rows are
+copied into its shard in one segment.  Closes happen at the batch
+position that triggers them, so the windows, their order and their
+packed words are the same as routing one event at a time.
+
+Shards are packed **incrementally**: rows accumulate into a small
+buffer that is bit-packed (:func:`repro.kernels.packed.
 pack_columns`) every ``chunk_records`` rows, so a window of any size
 streams through a fixed working set and closes into a ready
 :class:`PackedDataset` without ever materialising the `(N, d)` uint8
@@ -28,17 +35,22 @@ matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
 from repro.kernels.packed import PackedDataset, pack_columns
-from repro.stream.events import Event, StreamError, iter_events
+from repro.stream.events import StreamError, iter_batches
 
 #: Rows buffered before an incremental pack.  Must be a multiple of 64
 #: so every full block packs to whole words and blocks concatenate
 #: without bit shifting; 8192 rows x d=64 is a ~512 KiB working set.
 DEFAULT_CHUNK_RECORDS = 8192
+
+#: Largest window index a time policy accepts: indices are computed in
+#: float64, which holds every integer up to here exactly.
+_MAX_INDEX = 2.0**53
 
 
 class WindowShard:
@@ -71,18 +83,29 @@ class WindowShard:
     def num_records(self) -> int:
         return self._records
 
-    def add(self, event: Event) -> None:
-        """Append one event's row (out-of-range items ignored)."""
-        row = self._buffer[self._fill]
-        row[:] = 0
-        for item in event.items:
-            if 0 <= item < self.num_attributes:
-                row[item] = 1
-        self._fill += 1
-        self._records += 1
-        if self._fill == self._chunk:
-            self._blocks.append(pack_columns(self._buffer))
-            self._fill = 0
+    def add_rows(self, rows: np.ndarray) -> None:
+        """Append an ``(n, num_attributes)`` 0/1 matrix of records.
+
+        Rows are copied into the pack buffer in whole segments, split
+        at chunk boundaries, so the packed words do not depend on how
+        the records were grouped into calls.
+        """
+        rows = np.asarray(rows, dtype=np.uint8)
+        if rows.ndim != 2 or rows.shape[1] != self.num_attributes:
+            raise StreamError(
+                f"rows must have shape (n, {self.num_attributes}), "
+                f"got {rows.shape}"
+            )
+        done = 0
+        while done < len(rows):
+            take = min(self._chunk - self._fill, len(rows) - done)
+            self._buffer[self._fill:self._fill + take] = rows[done:done + take]
+            self._fill += take
+            done += take
+            if self._fill == self._chunk:
+                self._blocks.append(pack_columns(self._buffer))
+                self._fill = 0
+        self._records += len(rows)
 
     def finish(self) -> PackedDataset:
         """Close the shard into a :class:`PackedDataset`."""
@@ -96,6 +119,20 @@ class WindowShard:
         return PackedDataset(words, self._records, name=self.name)
 
 
+class Routing(NamedTuple):
+    """Where a policy sends one batch of events.
+
+    ``index[i]`` is event ``i``'s window and ``late[i]`` whether it is
+    dropped instead.  Each ``(position, bound)`` in ``cuts`` means:
+    once the first ``position`` events are in their shards, every open
+    window below ``bound`` closes.
+    """
+
+    index: np.ndarray
+    late: np.ndarray
+    cuts: list[tuple[int, int]]
+
+
 class CountWindowPolicy:
     """Tumbling windows of ``size`` events each."""
 
@@ -107,18 +144,22 @@ class CountWindowPolicy:
         self.size = int(size)
         self.late_events = 0
         self._seen = 0
-        self._closable: list[int] = []
 
-    def route(self, event: Event) -> int | None:
-        index = self._seen // self.size
-        if self._seen and self._seen % self.size == 0:
-            self._closable.append(index - 1)
-        self._seen += 1
-        return index
+    def route_batch(self, times: np.ndarray) -> Routing:
+        """Route the next ``len(times)`` events (their times unused).
 
-    def pending_close(self) -> list[int]:
-        closable, self._closable = self._closable, []
-        return closable
+        Window ``k`` closes once the first event of window ``k + 1``
+        is in.
+        """
+        seq = self._seen + np.arange(len(times), dtype=np.int64)
+        index = seq // self.size
+        starts = np.flatnonzero((seq % self.size == 0) & (seq > 0))
+        self._seen += len(times)
+        return Routing(
+            index,
+            np.zeros(len(times), dtype=bool),
+            [(int(p) + 1, int(index[p])) for p in starts],
+        )
 
     def bounds(self, index: int) -> tuple[float, float]:
         """Window bounds in event-sequence coordinates."""
@@ -149,8 +190,7 @@ class TimeWindowPolicy:
         self.late_events = 0
         self._max_time: float | None = None
         #: Windows strictly below this index are closed.
-        self._close_bound = None
-        self._closable: list[int] = []
+        self._close_bound: int | None = None
 
     @property
     def watermark(self) -> float | None:
@@ -158,31 +198,57 @@ class TimeWindowPolicy:
             return None
         return self._max_time - self.lateness
 
-    def route(self, event: Event) -> int | None:
-        if event.time is None:
+    def route_batch(self, times: np.ndarray) -> Routing:
+        """Route the next events by their times (NaN = untimed).
+
+        An event is late when its window lies below the close bound in
+        force before it; the bound follows the running maximum time.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        if np.isnan(times).any():
             raise StreamError(
                 "time-window policy needs a timestamp on every event "
                 "(use dict events with 'ts', or a count policy)"
             )
-        index = int(np.floor((event.time - self.origin) / self.width))
-        if self._close_bound is not None and index < self._close_bound:
-            self.late_events += 1
-            obs.incr("stream.late_events")
-            return None
-        if self._max_time is None or event.time > self._max_time:
-            self._max_time = event.time
-            watermark = self.watermark
-            obs.set_gauge("stream.watermark", watermark)
-            bound = int(np.floor((watermark - self.origin) / self.width))
-            if self._close_bound is None or bound > self._close_bound:
-                start = self._close_bound if self._close_bound is not None else bound
-                self._closable.extend(range(start, bound))
-                self._close_bound = bound
-        return index
+        if not np.isfinite(times).all():
+            raise StreamError(
+                f"event times must be finite, got "
+                f"{times[~np.isfinite(times)][0]}"
+            )
+        if not len(times):
+            return Routing(np.zeros(0, np.int64), np.zeros(0, bool), [])
+        high = np.maximum.accumulate(times)
+        if self._max_time is not None:
+            np.maximum(high, self._max_time, out=high)
+        with np.errstate(over="ignore"):
+            index = np.floor((times - self.origin) / self.width)
+            bound = np.floor(((high - self.lateness) - self.origin) / self.width)
+        if not (
+            np.abs(index).max() <= _MAX_INDEX and np.abs(bound).max() <= _MAX_INDEX
+        ):
+            raise StreamError(
+                "event times put window indices out of range for "
+                f"width {self.width:g} and origin {self.origin:g}"
+            )
+        before = np.empty_like(bound)
+        before[0] = bound[0] if self._close_bound is None else self._close_bound
+        before[1:] = bound[:-1]
+        late = index < before
+        rises = np.flatnonzero(bound > before)
 
-    def pending_close(self) -> list[int]:
-        closable, self._closable = self._closable, []
-        return closable
+        num_late = int(late.sum())
+        if num_late:
+            self.late_events += num_late
+            obs.incr("stream.late_events", num_late)
+        if self._max_time is None or high[-1] > self._max_time:
+            self._max_time = float(high[-1])
+            obs.set_gauge("stream.watermark", self.watermark)
+        self._close_bound = int(bound[-1])
+        return Routing(
+            index.astype(np.int64),
+            late,
+            [(int(p) + 1, int(bound[p])) for p in rises],
+        )
 
     def bounds(self, index: int) -> tuple[float, float]:
         return (
@@ -232,10 +298,8 @@ def iter_windows(
     """
     shards: dict[int, WindowShard] = {}
 
-    def close(index: int) -> ClosedWindow | None:
-        shard = shards.pop(index, None)
-        if shard is None:
-            return None
+    def close(index: int) -> ClosedWindow:
+        shard = shards.pop(index)
         start, end = policy.bounds(index)
         obs.incr("stream.windows")
         return ClosedWindow(
@@ -246,23 +310,29 @@ def iter_windows(
             kind=policy.kind,
         )
 
-    for event in iter_events(events):
-        obs.incr("stream.events")
-        index = policy.route(event)
-        if index is not None:
-            shard = shards.get(index)
-            if shard is None:
-                shard = shards[index] = WindowShard(
-                    num_attributes,
-                    name=f"{name}[{index}]",
-                    chunk_records=chunk_records,
-                )
-            shard.add(event)
-        for closable in policy.pending_close():
-            closed = close(closable)
-            if closed is not None:
-                yield closed
+    for batch in iter_batches(events):
+        obs.incr("stream.events", len(batch))
+        routing = policy.route_batch(batch.times)
+        rows = batch.rows(num_attributes)
+        start = 0
+        for stop, bound in [*routing.cuts, (len(batch), None)]:
+            segment, index = rows[start:stop], routing.index[start:stop]
+            late = routing.late[start:stop]
+            if late.any():
+                segment, index = segment[~late], index[~late]
+            windows = np.unique(index).tolist()
+            for w in windows:
+                shard = shards.get(w)
+                if shard is None:
+                    shard = shards[w] = WindowShard(
+                        num_attributes,
+                        name=f"{name}[{w}]",
+                        chunk_records=chunk_records,
+                    )
+                shard.add_rows(segment if len(windows) == 1 else segment[index == w])
+            start = stop
+            if bound is not None:
+                for w in sorted(w for w in shards if w < bound):
+                    yield close(w)
     for index in sorted(shards):
-        closed = close(index)
-        if closed is not None:
-            yield closed
+        yield close(index)

@@ -72,6 +72,27 @@ class TestEndpoints:
         assert "cache" in stats and stats["cache"]["capacity"] > 0
 
 
+@pytest.mark.parametrize("verb", ["GET", "POST"])
+def test_per_dataset_stats_answers_get_and_post(tmp_path, chain_synopsis, verb):
+    from repro.serve import serve_store
+    from repro.store import SynopsisStore
+
+    store = SynopsisStore(tmp_path / "store")
+    store.publish("chain", chain_synopsis)
+    with serve_store(store, port=0) as srv:
+        QueryClient(srv.url, dataset="chain").marginal((0, 1))
+        request = urllib.request.Request(
+            f"{srv.url}/v1/d/chain/stats",
+            data=b"{}" if verb == "POST" else None,
+            headers={"Content-Type": "application/json"},
+            method=verb,
+        )
+        with urllib.request.urlopen(request, timeout=10) as response:
+            payload = json.loads(response.read())
+    assert payload["requests"] == 1
+    assert payload["synopsis"]["num_attributes"] == chain_synopsis.num_attributes
+
+
 def client_port(client: QueryClient) -> int:
     return int(client.base_url.rsplit(":", 1)[1])
 

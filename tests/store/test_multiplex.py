@@ -101,6 +101,23 @@ class TestRouter:
                 )
             assert router.stats()["swaps"] == 1
 
+    def test_watch_sees_publish_within_one_mtime_tick(
+        self, populated_store, alpha_v2_synopsis, monkeypatch
+    ):
+        """Two manifest writes inside one clock tick share an mtime; the
+        watcher must still pick up the second one."""
+        import repro.serve.multiplex as multiplex
+
+        monkeypatch.setattr(multiplex, "_MTIME_TICK_S", 3600.0)
+        frozen = populated_store.manifest_mtime()
+        monkeypatch.setattr(populated_store, "manifest_mtime", lambda: frozen)
+        with EngineRouter(populated_store, watch=True) as router:
+            with router.lease("alpha"):
+                pass
+            populated_store.publish("alpha", alpha_v2_synopsis)
+            with router.lease("alpha"):
+                assert router.stats()["hosted"]["alpha"]["version"] == 2
+
 
 class TestStoreServer:
     def test_two_datasets_bitwise_identical(

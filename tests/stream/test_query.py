@@ -12,10 +12,10 @@ from repro.serve.multiplex import EngineRouter
 from repro.stream import (
     BudgetSchedule,
     CountWindowPolicy,
+    EventBatch,
     WindowScheduler,
     WindowShard,
     answer_windows,
-    as_event,
     list_windows,
 )
 
@@ -35,8 +35,7 @@ def released(store, rng):
 
 def _ground_truth(events, lo, hi, attrs):
     shard = WindowShard(6, chunk_records=64)
-    for event in events[lo:hi]:
-        shard.add(as_event(event))
+    shard.add_rows(EventBatch.from_events(events[lo:hi]).rows(6))
     return shard.finish().marginal(attrs).counts
 
 

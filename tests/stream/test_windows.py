@@ -9,6 +9,7 @@ from repro.kernels.packed import pack_columns
 from repro.stream import (
     CountWindowPolicy,
     Event,
+    EventBatch,
     StreamError,
     TimeWindowPolicy,
     WindowShard,
@@ -61,8 +62,9 @@ def test_shard_matches_bulk_pack(rng, n):
     d = 5
     rows = (rng.random((n, d)) < 0.5).astype(np.uint8)
     shard = WindowShard(d, chunk_records=64)
-    for row in rows:
-        shard.add(Event(tuple(int(x) for x in np.nonzero(row)[0])))
+    # Uneven segments straddle the 64-row chunk boundaries.
+    for lo, hi in zip([0, 1, 40, 100], [1, 40, 100, n]):
+        shard.add_rows(rows[lo:hi])
     packed = shard.finish()
     assert packed.num_records == n
     expected = pack_columns(rows)
@@ -71,7 +73,7 @@ def test_shard_matches_bulk_pack(rng, n):
 
 def test_shard_ignores_out_of_range_and_duplicates():
     shard = WindowShard(3)
-    shard.add(Event((0, 0, 2, 9, -1)))
+    shard.add_rows(EventBatch.from_events([Event((0, 0, 2, 9, -1))]).rows(3))
     packed = shard.finish()
     table = packed.marginal((0, 1, 2))
     # One record with attributes {0, 2} set: cell index 0b101 = 5.
@@ -105,8 +107,7 @@ def test_count_windows_union_is_exact_partition(rng):
     windows = list(iter_windows(events, CountWindowPolicy(64), d))
     total = sum(w.shard.marginal((0, 1)).counts for w in windows)
     full = WindowShard(d, chunk_records=64)
-    for e in events:
-        full.add(as_event(e))
+    full.add_rows(EventBatch.from_events(events).rows(d))
     np.testing.assert_allclose(total, full.finish().marginal((0, 1)).counts)
 
 
@@ -159,6 +160,20 @@ def test_time_windows_skip_empty_gaps():
 def test_time_policy_requires_timestamps():
     with pytest.raises(StreamError, match="timestamp"):
         list(iter_windows([[0, 1]], TimeWindowPolicy(1.0), 2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_time_policy_rejects_non_finite_times(bad):
+    events = [([0], 0.5), ([1], bad)]
+    with pytest.raises(StreamError):
+        list(iter_windows(events, TimeWindowPolicy(1.0), 2))
+    with pytest.raises(StreamError):
+        list(iter_windows([{"items": [1], "ts": bad}], TimeWindowPolicy(1.0), 2))
+
+
+def test_time_policy_rejects_window_index_overflow():
+    with pytest.raises(StreamError, match="out of range"):
+        list(iter_windows([([0], 1e300)], TimeWindowPolicy(1e-10), 2))
 
 
 def test_time_policy_origin_shifts_grid():
