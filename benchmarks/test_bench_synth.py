@@ -12,11 +12,18 @@ domain of 8 attributes with arities 2–8 at N=200k.  The bars:
   sustains at least 100k records/s.
 * privacy — the ledger audit shows synthesis spent exactly zero
   additional epsilon.
+
+``stages`` splits the synthesis from the obs session the benchmark
+opens: ``synth.init`` span time, the mean ``synth.update_seconds``
+per round, and the accepted and reverted rounds.  ``env`` records the
+machine.
 """
 
 import itertools
 import json
+import os
 import pathlib
+import platform
 from time import perf_counter
 
 import numpy as np
@@ -62,6 +69,18 @@ def test_bench_synth_export(scale, bench_rng):
         synth_s = perf_counter() - synth_start
 
         audit = {row.name: row for row in sess.ledger.audit()}
+        spans = [span for root in sess.tracer.roots for span in root.walk()]
+        update = sess.metrics.observation("synth.update_seconds")
+        stages = {
+            "synth.init_s": sum(
+                span.duration for span in spans if span.name == "synth.init"
+            ),
+            "synth.update_mean_s": update["mean"],
+            "synth.rounds": sess.metrics.counter("synth.rounds"),
+            "synth.rounds_reverted": sess.metrics.counter(
+                "synth.rounds_reverted"
+            ),
+        }
     fit_row = audit["CategoricalPriView.fit"]
     synth_row = audit["Synthesizer.fit"]
     assert fit_row.spent_max == EPSILON
@@ -108,6 +127,12 @@ def test_bench_synth_export(scale, bench_rng):
     payload = {
         "benchmark": f"synth_d{len(ARITIES)}_n{N}",
         "scale": scale.name,
+        "env": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "stages": stages,
         "accuracy": {
             "covered_pairs": len(covered),
             "synopsis_l1": synopsis_l1,

@@ -75,7 +75,7 @@ DEFAULT_CHECKS = {
         # the gate also catches creeping drift against the baseline
         ("accuracy/l1_ratio", "lower", 0.40),
         ("sampling/records_per_s", "higher", 0.50),
-        ("synthesis/fit_s", "lower", 3.00),
+        ("synthesis/fit_s", "lower", 1.00),
     ],
 }
 

@@ -780,11 +780,16 @@ def _cmd_synth(args) -> int:
         synopsis = store.get(args.dataset)
         origin = f"{args.store}:{args.dataset}"
 
+    from repro.exceptions import SynthesisError
     from repro.synth import Synthesizer
 
-    synthesizer = Synthesizer(rounds=args.rounds, seed=args.seed)
     with obs.session(trace=False) as sess:
-        records = synthesizer.fit(synopsis, num_records=args.records)
+        try:
+            records = Synthesizer(rounds=args.rounds, seed=args.seed).fit(
+                synopsis, num_records=args.records
+            )
+        except SynthesisError as exc:
+            raise SystemExit(f"error: {exc}")
         audit = sess.ledger.audit()
     meta = records.meta
     print(

@@ -38,6 +38,9 @@ from repro.synth.records import SyntheticRecords
 #: guard against float-noise "improvements" flapping accept/revert
 _L1_SLACK = 1e-9
 
+#: what a view update that moves no record returns
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
 
 def domain_of(synopsis) -> Domain:
     """The richest domain the synopsis knows about.
@@ -61,10 +64,23 @@ def domain_of(synopsis) -> Domain:
     return Domain.binary(int(num_attributes))
 
 
+def _code_dtype(size: int):
+    """The narrowest dtype holding cell codes ``0 .. size - 1``.
+
+    Codes of 16 bits or fewer also make numpy's stable argsort a
+    radix sort, which is what keeps donor selection cheap.
+    """
+    if size <= 1 << 8:
+        return np.uint8
+    if size <= 1 << 16:
+        return np.uint16
+    return np.int64
+
+
 class _ViewSpec:
     """One view, pre-digested for the update loop."""
 
-    __slots__ = ("attrs", "arities", "strides", "size", "probs")
+    __slots__ = ("attrs", "arities", "strides", "size", "probs", "dtype")
 
     def __init__(self, attrs, arities, counts):
         self.attrs = np.asarray(attrs, dtype=np.int64)
@@ -74,6 +90,7 @@ class _ViewSpec:
             strides[j] = strides[j - 1] * self.arities[j - 1]
         self.strides = strides
         self.size = int(np.prod(self.arities)) if self.arities else 1
+        self.dtype = _code_dtype(self.size)
         probs = np.maximum(np.asarray(counts, dtype=np.float64), 0.0)
         total = probs.sum()
         if total > 0:
@@ -82,17 +99,17 @@ class _ViewSpec:
             self.probs = np.full(self.size, 1.0 / self.size)
 
     def cells(self, records: np.ndarray) -> np.ndarray:
-        """Mixed-radix cell index of every record, restricted to the
-        view's attributes."""
-        return records[:, self.attrs] @ self.strides
+        """Mixed-radix cell code of each given record, restricted to
+        the view's attributes, in the view's code dtype."""
+        return (records[:, self.attrs] @ self.strides).astype(
+            self.dtype, copy=False
+        )
 
-    def counts(self, records: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.cells(records), minlength=self.size
-        ).astype(np.float64)
+    def counts(self, cells: np.ndarray) -> np.ndarray:
+        return np.bincount(cells, minlength=self.size).astype(np.float64)
 
     def digits(self, cells: np.ndarray) -> np.ndarray:
-        """Cell indices → per-attribute values, shape ``(m, k)``."""
+        """Cell indices → per-attribute values, shape ``(k, m)``."""
         out = np.empty((len(self.attrs), cells.size), dtype=np.int64)
         for j, b in enumerate(self.arities):
             out[j] = (cells // self.strides[j]) % b
@@ -144,6 +161,10 @@ class Synthesizer:
             raise SynthesisError(f"rounds must be >= 0, got {rounds}")
         if not 0.0 < alpha <= 1.0:
             raise SynthesisError(f"alpha must be in (0, 1], got {alpha}")
+        if not (np.isfinite(min_alpha) and min_alpha >= 0.0):
+            raise SynthesisError(
+                f"min_alpha must be finite and >= 0, got {min_alpha}"
+            )
         self.rounds = int(rounds)
         self.alpha = float(alpha)
         self.min_alpha = float(min_alpha)
@@ -166,24 +187,43 @@ class Synthesizer:
             specs = _view_specs(synopsis, domain)
             if num_records is None:
                 num_records = int(round(float(synopsis.total_count())))
-            n = max(int(num_records), 1)
+            n = int(num_records)
+            if n < 1:
+                raise SynthesisError(
+                    f"num_records must be >= 1, got {num_records}"
+                )
             rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
 
             with obs.span("synth.init"):
                 records = self._init_records(n, domain, specs, rng)
-            error = self._mean_l1(records, specs, n)
+                # one cell-code vector per view, kept for the whole fit:
+                # a round refreshes only the rows it moves
+                cells = [spec.cells(records) for spec in specs]
+            sharing = [
+                [j for j, other in enumerate(specs)
+                 if np.intersect1d(spec.attrs, other.attrs).size]
+                for spec in specs
+            ]
+            error = self._mean_l1(cells, specs, n)
             history = [error]
             alpha = self.alpha
             total_moved = 0
             accepted = 0
             for _ in range(self.rounds):
                 round_start = perf_counter()
-                snapshot = records.copy()
+                snapshot = records.copy(), [c.copy() for c in cells]
                 with obs.span("synth.update"):
                     moved = 0
-                    for spec in specs:
-                        moved += self._update_view(records, spec, n, alpha, rng)
-                candidate = self._mean_l1(records, specs, n)
+                    for i, spec in enumerate(specs):
+                        moving = self._update_view(
+                            records, cells[i], spec, n, alpha, rng
+                        )
+                        # every view sharing an attribute, this one too
+                        rows = records[moving]
+                        for j in sharing[i]:
+                            cells[j][moving] = specs[j].cells(rows)
+                        moved += moving.size
+                candidate = self._mean_l1(cells, specs, n)
                 obs.observe(
                     "synth.update_seconds", perf_counter() - round_start
                 )
@@ -191,7 +231,7 @@ class Synthesizer:
                     break
                 if candidate > error - _L1_SLACK:
                     # no improvement: roll the round back, damp alpha
-                    records = snapshot
+                    records, cells = snapshot
                     alpha *= 0.5
                     obs.incr("synth.rounds_reverted")
                     if alpha < self.min_alpha:
@@ -249,31 +289,32 @@ class Synthesizer:
         return records
 
     @staticmethod
-    def _mean_l1(records, specs, n) -> float:
+    def _mean_l1(cells, specs, n) -> float:
         """Mean (over views) of the per-record-normalised L1 distance."""
         total = 0.0
-        for spec in specs:
+        for codes, spec in zip(cells, specs):
             total += float(
-                np.abs(spec.counts(records) - spec.probs * n).sum()
+                np.abs(spec.counts(codes) - spec.probs * n).sum()
             )
         return total / (len(specs) * n)
 
     @staticmethod
-    def _update_view(records, spec: _ViewSpec, n, alpha, rng) -> int:
-        """One gradual-update step against one view; returns #moved.
+    def _update_view(records, cells, spec: _ViewSpec, n, alpha, rng):
+        """One gradual-update step against one view; returns the moved
+        rows.
 
         Records are moved *out of* cells holding more than their
         target share and re-assigned (only on the view's attributes)
         to deficit cells sampled proportionally to how short they are.
+        ``cells`` is the view's kept code vector; the caller refreshes
+        it, and every other view's, on the returned rows.
         """
-        cells = spec.cells(records)
-        counts = np.bincount(cells, minlength=spec.size).astype(np.float64)
-        target = spec.probs * n
-        excess = counts - target
+        occupancy = np.bincount(cells, minlength=spec.size)
+        excess = occupancy.astype(np.float64) - spec.probs * n
         deficit = np.maximum(-excess, 0.0)
         deficit_total = deficit.sum()
         if deficit_total < 1.0:
-            return 0
+            return _NO_ROWS
         # per-cell moves: at least one record whenever a whole record
         # of excess exists, never more than the (floored) excess
         move = np.minimum(
@@ -282,22 +323,21 @@ class Synthesizer:
         move = np.maximum(move, 0)
         num_moved = int(move.sum())
         if num_moved == 0:
-            return 0
+            return _NO_ROWS
 
         # pick the records to move: shuffle, stable-sort by cell, take
-        # each cell's first `move[c]` occupants
-        perm = rng.permutation(len(cells))
+        # each cell's first `move[c]` occupants.  The sort's output is
+        # unique, and on codes of 16 bits or fewer it is a radix sort.
+        perm = rng.permutation(n)
         order = np.argsort(cells[perm], kind="stable")
-        sorted_ids = perm[order]
-        sorted_cells = cells[perm][order]
         donors = np.flatnonzero(move > 0)
         takes = move[donors]
-        starts = np.searchsorted(sorted_cells, donors, side="left")
+        starts = (np.cumsum(occupancy) - occupancy)[donors]
         base = np.repeat(starts, takes)
         within = np.arange(num_moved) - np.repeat(
             np.cumsum(takes) - takes, takes
         )
-        moving = sorted_ids[base + within]
+        moving = perm[order[base + within]]
 
         destinations = rng.choice(
             spec.size, size=num_moved, p=deficit / deficit_total
@@ -305,7 +345,7 @@ class Synthesizer:
         digits = spec.digits(destinations)
         for j, attr in enumerate(spec.attrs):
             records[moving, attr] = digits[j]
-        return num_moved
+        return moving
 
 
 def synthesize(

@@ -123,3 +123,16 @@ class TestCliSynth:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "age,job,flag"
         assert len(lines) == 401
+
+    @pytest.mark.parametrize("records", ["0", "-3"])
+    def test_synth_rejects_population_below_one(
+        self, cat_synopsis, tmp_path, capsys, records
+    ):
+        path = save_synopsis(cat_synopsis, tmp_path / "cat.npz")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "synth", "--synopsis", str(path), "--records", records,
+            ])
+        assert exc.value.code != 0
+        assert "num_records must be >= 1" in str(exc.value.code)
+        assert "synthesized" not in capsys.readouterr().out

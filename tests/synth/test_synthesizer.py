@@ -101,6 +101,24 @@ class TestSynthesizer:
         records = synthesize(cat_synopsis, num_records=1234, seed=0)
         assert records.num_records == 1234
 
+    @pytest.mark.parametrize("num_records", [0, -1, -500])
+    def test_rejects_population_below_one(self, cat_synopsis, num_records):
+        with pytest.raises(SynthesisError, match="num_records must be >= 1"):
+            Synthesizer(seed=0).fit(cat_synopsis, num_records=num_records)
+
+    @pytest.mark.parametrize(
+        "min_alpha", [-1e-3, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_bad_min_alpha(self, min_alpha):
+        with pytest.raises(SynthesisError, match="min_alpha"):
+            Synthesizer(min_alpha=min_alpha)
+
+    def test_zero_min_alpha_accepted(self, cat_synopsis):
+        records = Synthesizer(rounds=3, min_alpha=0.0, seed=0).fit(
+            cat_synopsis
+        )
+        assert records.meta["rounds"] <= 3
+
     def test_codes_within_arity(self, cat_synopsis):
         records = synthesize(cat_synopsis, seed=8)
         for j, b in enumerate(cat_synopsis.arities):
