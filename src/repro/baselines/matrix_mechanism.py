@@ -46,7 +46,7 @@ def marginal_workload_matrix(num_attributes: int, k: int) -> np.ndarray:
     n = 1 << d
     rows = []
     for attrs in itertools.combinations(range(d), k):
-        pmap = projection_map(d, attrs)
+        pmap = projection_map((2,) * d, attrs)
         block = np.zeros((1 << k, n))
         block[pmap, np.arange(n)] = 1.0
         rows.append(block)

@@ -85,7 +85,7 @@ class MWEMMethod(MarginalReleaseMechanism):
         queries = all_attribute_subsets(d, self.k)
         true = FullContingencyTable.from_dataset(dataset)
         true_marginals = [true.marginal(attrs).counts for attrs in queries]
-        pmaps = [projection_map(d, attrs) for attrs in queries]
+        pmaps = [projection_map((2,) * d, attrs) for attrs in queries]
 
         # Distribution over the domain, scaled to total mass n.
         synthetic = np.full(1 << d, n / (1 << d))

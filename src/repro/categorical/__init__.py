@@ -1,36 +1,30 @@
 """Categorical-attribute extension of PriView (paper Section 4.7).
 
-The main library handles binary datasets, following the paper's main
-sections.  Section 4.7 sketches the extension to attributes with
-``b >= 2`` values each; this subpackage implements it:
+The main sections of the paper treat binary attributes; Section 4.7
+extends PriView to attributes with ``b >= 2`` values each and notes
+that consistency, Ripple and max-entropy reconstruction "can be
+applied directly".  So they are: a categorical marginal is the shared
+:class:`~repro.marginals.table.MarginalTable` whose
+:class:`~repro.marginals.attrs.AttrSet` carries the arities (a binary
+table is the case where every arity is 2), and the core consistency,
+Ripple and reconstruction code serves both.  What this package adds:
 
-* mixed-radix cell indexing replaces the binary bit convention
-  (:mod:`repro.categorical.indexing`);
-* :class:`~repro.categorical.table.CategoricalMarginalTable` supports
-  the same projection / consistency-update operations, so the *binary*
-  consistency procedure of Section 4.4 applies verbatim;
-* Ripple's neighbourhood becomes "change one attribute to another
-  value" (:func:`repro.core.nonnegativity.categorical_ripple`);
-* view selection bounds the *cell count* per view using the
+* :class:`CategoricalDataset`, an ``N x d`` matrix of codes with one
+  arity per column;
+* view selection that bounds the *cell count* per view using the
   Section 4.7 ``s`` guideline instead of the attribute count
   (:mod:`repro.categorical.views`);
-* maximum-entropy reconstruction runs the same IPF, over mixed-radix
-  projections (:mod:`repro.core.reconstruction.categorical`).
-
-The Ripple and reconstruction implementations live in the shared
-``repro.core`` registry; the old private copies here
-(``repro.categorical.nonnegativity`` / ``.reconstruction``) remain as
-deprecated import shims.
+* :class:`CategoricalPriView` and the :class:`CategoricalSynopsis` it
+  publishes, plus the Direct and Uniform baselines
+  (:mod:`repro.categorical.baselines`).
 """
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.table import CategoricalMarginalTable
 from repro.categorical.priview import CategoricalPriView, CategoricalSynopsis
 from repro.categorical.views import select_categorical_views
 
 __all__ = [
     "CategoricalDataset",
-    "CategoricalMarginalTable",
     "CategoricalPriView",
     "CategoricalSynopsis",
     "select_categorical_views",

@@ -2,8 +2,8 @@
 
 The binary baselines of Section 3 transfer directly: Direct adds
 per-marginal Laplace noise with the budget split over all C(d, k)
-marginals, and Uniform returns the uniform table.  Both operate on
-mixed-radix tables.
+marginals, and Uniform returns the uniform table.  Both return the shared
+:class:`~repro.marginals.table.MarginalTable`, with arities.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.table import CategoricalMarginalTable
 from repro.exceptions import PrivacyBudgetError
+from repro.marginals.attrs import AttrSet
+from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import noisy_counts
 
 
@@ -33,8 +34,8 @@ class CategoricalDirect:
         self._num_marginals = math.comb(dataset.num_attributes, self.k)
         return self
 
-    def marginal(self, attrs) -> CategoricalMarginalTable:
-        attrs = tuple(sorted(int(a) for a in attrs))
+    def marginal(self, attrs) -> MarginalTable:
+        attrs = AttrSet(attrs)
         if len(attrs) != self.k:
             raise ValueError(
                 f"Direct released {self.k}-way marginals; "
@@ -68,7 +69,8 @@ class CategoricalUniform:
         self._total = max(float(noisy[0]), 0.0)
         return self
 
-    def marginal(self, attrs) -> CategoricalMarginalTable:
-        attrs = tuple(sorted(int(a) for a in attrs))
-        arities = tuple(self._arities[a] for a in attrs)
-        return CategoricalMarginalTable.uniform(attrs, arities, self._total)
+    def marginal(self, attrs) -> MarginalTable:
+        attrs = AttrSet(attrs)
+        return MarginalTable.uniform(
+            attrs.with_arities(self._arities[a] for a in attrs), self._total
+        )

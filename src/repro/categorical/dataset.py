@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.categorical.indexing import strides, table_size
-from repro.categorical.table import CategoricalMarginalTable
 from repro.exceptions import DimensionError
+from repro.marginals.attrs import AttrSet
+from repro.marginals.projection import strides
+from repro.marginals.table import MarginalTable
 
 
 class CategoricalDataset:
@@ -105,17 +106,12 @@ class CategoricalDataset:
         )
 
     # ------------------------------------------------------------------
-    def marginal(self, attrs) -> CategoricalMarginalTable:
+    def marginal(self, attrs) -> MarginalTable:
         """Exact (non-private) marginal over ``attrs``."""
-        attrs = tuple(sorted(int(a) for a in attrs))
-        if attrs and attrs[-1] >= self.num_attributes:
-            raise DimensionError(
-                f"attribute {attrs[-1]} out of range (d={self.num_attributes})"
-            )
-        sub_arities = tuple(self.arities[a] for a in attrs)
-        weights = np.array(strides(sub_arities), dtype=np.int64)
-        idx = self._data[:, list(attrs)] @ weights
-        counts = np.bincount(idx, minlength=table_size(sub_arities))
-        return CategoricalMarginalTable(
-            attrs, sub_arities, counts.astype(np.float64)
+        attrs = AttrSet(attrs, self.num_attributes)
+        attrs = attrs.with_arities(self.arities[a] for a in attrs)
+        idx = self._data[:, list(attrs)] @ np.array(
+            strides(attrs.radix), dtype=np.int64
         )
+        counts = np.bincount(idx, minlength=attrs.size)
+        return MarginalTable(attrs, counts.astype(np.float64))

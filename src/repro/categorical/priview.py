@@ -1,13 +1,13 @@
 """PriView for categorical datasets (Section 4.7, end to end).
 
 The pipeline is identical to the binary one — noisy views, overall
-consistency, Ripple, max-entropy reconstruction — with the
-categorical variants of view selection, Ripple neighbourhoods and
-cell indexing plugged in.  The post-processing primitives themselves
-(Ripple, the mixed-radix IPF solver) live in the shared core
-(:mod:`repro.core.nonnegativity`,
-:mod:`repro.core.reconstruction.categorical`) rather than as private
-forks here.
+consistency, Ripple, reconstruction — and runs on the same code: the
+views are :class:`~repro.marginals.table.MarginalTable` objects whose
+attribute sets carry the arities, so consistency, Ripple
+(:mod:`repro.core.nonnegativity`) and every reconstruction solver but
+the binary-only ``residual`` (:mod:`repro.core.reconstruction`) apply
+unchanged.  Only view selection is categorical-specific: it bounds
+each view's cell count (:mod:`repro.categorical.views`).
 
 Like the binary :class:`~repro.core.priview.PriView`, the fit hot
 path can run on the bit-sliced kernels
@@ -26,15 +26,16 @@ import numpy as np
 
 from repro import obs
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.table import CategoricalMarginalTable
 from repro.categorical.views import select_categorical_views
 from repro.core.consistency import make_consistent
-from repro.core.nonnegativity import DEFAULT_THETA, categorical_ripple
-from repro.core.reconstruction import reconstruct_mixed
+from repro.core.nonnegativity import DEFAULT_THETA, ripple
+from repro.core.reconstruction import reconstruct, reconstruct_batch
 from repro.exceptions import PrivacyBudgetError
 from repro.kernels import config as kernels_config
 from repro.kernels.fit import generate_noisy_views as _parallel_noisy_views
+from repro.marginals.attrs import AttrSet
 from repro.marginals.domain import Domain
+from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import noisy_counts
 
 
@@ -49,7 +50,7 @@ class CategoricalSynopsis:
     attribute values.
     """
 
-    views: list[CategoricalMarginalTable]
+    views: list[MarginalTable]
     arities: tuple[int, ...]
     epsilon: float
     metadata: dict = field(default_factory=dict)
@@ -94,27 +95,24 @@ class CategoricalSynopsis:
         return sum(v.total() for v in self.views) / len(self.views)
 
     def is_covered(self, attrs) -> bool:
-        target = set(int(a) for a in attrs)
+        target = set(AttrSet(attrs))
         return any(target.issubset(v.attrs) for v in self.views)
 
-    def reconstruct(self, attrs, method: str = "maxent") -> CategoricalMarginalTable:
-        """Engine-independent reconstruction (projection when covered,
-        the named mixed-radix solver otherwise).  The serving engine
-        calls this directly, so an attached engine never recurses."""
-        return reconstruct_mixed(
-            self.views,
-            attrs,
-            self.arities,
-            method=method,
-            total=self.total_count(),
-        )
+    def _target(self, attrs) -> AttrSet:
+        """``attrs`` with their arities from the synopsis's arity vector."""
+        attrs = AttrSet(attrs, self.num_attributes)
+        return attrs.with_arities(self.arities[a] for a in attrs)
 
-    def marginal(self, attrs, method: str = "maxent") -> CategoricalMarginalTable:
-        """Reconstruct the marginal over ``attrs``; with an attached
+    def marginal(self, attrs, method: str = "maxent") -> MarginalTable:
+        """Reconstruct the marginal over ``attrs`` (a projection when a
+        view covers it, the named solver otherwise); with an attached
         serving engine the query goes through its planner and cache."""
         if self._engine is not None:
             return self._engine.answer(attrs, method=method).table
-        return self.reconstruct(attrs, method=method)
+        return reconstruct(
+            self.views, self._target(attrs), method=method,
+            total=self.total_count(),
+        )
 
     def marginals(self, attr_sets, method: str = "maxent"):
         """Reconstruct several marginals, solving each distinct set once."""
@@ -123,19 +121,18 @@ class CategoricalSynopsis:
                 answer.table
                 for answer in self._engine.answer_batch(attr_sets, method=method)
             ]
-        total = self.total_count()
-        distinct: dict[tuple[int, ...], CategoricalMarginalTable] = {}
+        order = list(dict.fromkeys(self._target(attrs) for attrs in attr_sets))
+        tables = reconstruct_batch(
+            self.views, order, method=method, total=self.total_count()
+        )
+        distinct = dict(zip(order, tables))
         out = []
+        seen: set[tuple[int, ...]] = set()
         for attrs in attr_sets:
-            target = tuple(sorted(int(a) for a in attrs))
-            if target in distinct:
-                out.append(distinct[target].copy())
-                continue
-            table = reconstruct_mixed(
-                self.views, target, self.arities, method=method, total=total
-            )
-            distinct[target] = table
-            out.append(table)
+            target = AttrSet(attrs)
+            table = distinct[target]
+            out.append(table.copy() if target in seen else table)
+            seen.add(target)
         return out
 
     def __repr__(self) -> str:
@@ -249,7 +246,7 @@ class CategoricalPriView:
             with obs.span("post_process"):
                 make_consistent(tables)
                 for table in tables:
-                    categorical_ripple(table, theta=self.theta)
+                    ripple(table, theta=self.theta)
                 make_consistent(tables)
             obs.observe(
                 "fit.seconds",

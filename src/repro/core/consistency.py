@@ -57,9 +57,8 @@ def mutual_consistency(tables: list[MarginalTable], attrs: tuple[int, ...]) -> N
     (the minimum-variance combination when the tables share size and
     budget), then shift each table's cells to match the average.
 
-    Works for any table type exposing ``project`` / ``counts`` /
-    ``consistency_update`` — the categorical tables of Section 4.7 use
-    this exact procedure, as the paper notes.
+    Binary and categorical tables alike: Section 4.7 applies this
+    exact procedure to categorical attributes, as the paper notes.
     """
     if len(tables) < 2:
         return

@@ -2,7 +2,8 @@
 
 The paper's *Ripple* procedure turns each cell below ``-theta`` into 0
 and subtracts the removed (negative) mass, split evenly, from the
-cell's ``l`` Hamming-distance-1 neighbours, iterating until no cell is
+cell's ``l`` neighbours (the cells one attribute value away; one bit
+flip away for binary tables), iterating until no cell is
 below ``-theta``.  This keeps the table total unchanged and — unlike a
 plain clamp — avoids positively biasing queries that touch low-count
 regions.
@@ -35,13 +36,16 @@ def ripple(table: MarginalTable, theta: float = DEFAULT_THETA) -> int:
     Each pass zeroes every cell with count ``c < -theta`` and adds
     ``c / l`` (a negative amount) to each of its ``l`` neighbours, so
     the total is conserved and the negative mass spreads and decays.
+    A cell's neighbours are the cells that differ from it in exactly
+    one attribute's value: "neighbouring cells are obtained by
+    changing only one value" (Section 4.7), which at arity 2 is the
+    Hamming-distance-1 bit flip of Section 4.4.
     """
     if theta <= 0:
         raise ReconstructionError(
             f"theta must be positive for Ripple to terminate, got {theta}"
         )
-    arity = table.arity
-    if arity == 0:
+    if table.arity == 0:
         return 0
     if table.counts.sum() <= 0:
         # A table with no positive mass cannot absorb its negatives; it
@@ -50,7 +54,8 @@ def ripple(table: MarginalTable, theta: float = DEFAULT_THETA) -> int:
         # to the common ~N > 0.)
         table.counts[:] = 0.0
         return 0
-    neighbours = cell_neighbours(arity)
+    neighbours = cell_neighbours(table.attrs.radix)
+    degree = neighbours.shape[1]
     counts = table.counts
     passes = 0
     cells_clipped = 0
@@ -62,7 +67,7 @@ def ripple(table: MarginalTable, theta: float = DEFAULT_THETA) -> int:
         cells_clipped += int(negative.size)
         removed = counts[negative].copy()
         counts[negative] = 0.0
-        share = np.repeat(removed / arity, arity)
+        share = np.repeat(removed / degree, degree)
         np.add.at(counts, neighbours[negative].ravel(), share)
     else:
         raise ReconstructionError(
@@ -71,51 +76,6 @@ def ripple(table: MarginalTable, theta: float = DEFAULT_THETA) -> int:
     obs.incr("ripple.passes", passes)
     obs.incr("ripple.cells_clipped", cells_clipped)
     return passes
-
-
-def categorical_ripple(table, theta: float = DEFAULT_THETA) -> int:
-    """Ripple with change-one-value neighbourhoods (Section 4.7).
-
-    "The only change is in the Ripple Non-negativity step, neighbouring
-    cells are obtained by changing only one value (as opposed to
-    flipping one value)."  ``table`` is a
-    :class:`~repro.categorical.table.CategoricalMarginalTable`; returns
-    the pass count.  Folded into the shared core from the old
-    ``repro.categorical.nonnegativity`` (which remains as a deprecated
-    shim); the neighbourhood import is lazy to keep the package
-    dependency one-way.
-    """
-    from repro.categorical.indexing import categorical_neighbours
-
-    if theta <= 0:
-        raise ReconstructionError(
-            f"theta must be positive for Ripple to terminate, got {theta}"
-        )
-    if table.arity == 0:
-        return 0
-    if table.counts.sum() <= 0:
-        table.counts[:] = 0.0
-        return 0
-    neighbours = categorical_neighbours(table.arities)
-    degree = neighbours.shape[1]
-    counts = table.counts
-    passes = 0
-    cells_clipped = 0
-    while passes < MAX_RIPPLE_PASSES:
-        negative = np.flatnonzero(counts < -theta)
-        if negative.size == 0:
-            obs.incr("ripple.passes", passes)
-            obs.incr("ripple.cells_clipped", cells_clipped)
-            return passes
-        passes += 1
-        cells_clipped += int(negative.size)
-        removed = counts[negative].copy()
-        counts[negative] = 0.0
-        share = np.repeat(removed / degree, degree)
-        np.add.at(counts, neighbours[negative].ravel(), share)
-    raise ReconstructionError(
-        f"categorical Ripple did not settle within {MAX_RIPPLE_PASSES} passes"
-    )
 
 
 def simple_clamp(table: MarginalTable) -> None:

@@ -7,7 +7,8 @@ requested solver combines the views' partial information:
 * ``maxent`` — maximum entropy via IPF (the paper's choice, "CME");
 * ``maxent-dual`` — same optimisation through the scipy dual solver;
 * ``residual`` — closed-form ReM pseudo-marginal reconstruction with
-  local non-negativity (Mullins et al.), no iterative fitting;
+  local non-negativity (Mullins et al.), no iterative fitting; binary
+  attributes only;
 * ``lsq`` — least-L2-norm solution ("CLN");
 * ``lp`` — min-max-violation linear program ("LP"/"CLP").
 
@@ -15,6 +16,10 @@ requested solver combines the views' partial information:
 ``residual`` targets of equal arity share one stacked transform and
 ``maxent`` targets share vectorised IPF sweeps, so a serving batch of
 uncovered queries costs one solve instead of N.
+
+Views and targets may be binary or categorical: a target takes its
+arities from the views (:func:`resolve_target`), and every solver but
+``residual`` works over any mixed-radix table.
 
 Degenerate bases are handled here, before any solver runs: the empty
 attribute set is always the single-cell total (its residual basis is
@@ -27,17 +32,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.core.reconstruction.categorical import (
-    MIXED_RECONSTRUCTION_METHODS,
-    categorical_maxent,
-    extract_categorical_constraints,
-    reconstruct_mixed,
-)
 from repro.core.reconstruction.constraints import (
     MarginalConstraint,
     build_constraint_system,
     covering_view,
     extract_constraints,
+    resolve_target,
 )
 from repro.core.reconstruction.least_squares import least_squares
 from repro.core.reconstruction.linear_program import linear_program
@@ -50,7 +50,6 @@ from repro.core.reconstruction.residual import (
     residual_batch,
 )
 from repro.exceptions import ReconstructionError
-from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
 
 _SOLVERS = {
@@ -103,7 +102,9 @@ def reconstruct(
         View marginals (mutually consistent for every method but
         ``lp``, which also accepts raw views).
     target_attrs:
-        Attribute set ``A`` of the desired k-way marginal.
+        Attribute set ``A`` of the desired k-way marginal.  Its
+        arities come from the views; an ``AttrSet`` carrying arities
+        that disagree with a view raises :class:`DimensionError`.
     method:
         One of :data:`RECONSTRUCTION_METHODS`.
     use_covering_view:
@@ -115,7 +116,7 @@ def reconstruct(
         in to avoid re-summing every view per query.
     """
     _check_method(method)
-    target = AttrSet(target_attrs)
+    target = resolve_target(views, target_attrs)
     with obs.span("reconstruct"):
         if not target:
             # Degenerate residual basis: no solver can (or should) run.
@@ -154,7 +155,7 @@ def reconstruct_batch(
     Results align with the input order.
     """
     _check_method(method)
-    targets = [AttrSet(attrs) for attrs in target_attrs_list]
+    targets = [resolve_target(views, attrs) for attrs in target_attrs_list]
     if total is None:
         total = _mean_total(views)
     total = float(total)
@@ -199,17 +200,13 @@ def reconstruct_batch(
 
 
 __all__ = [
-    "MIXED_RECONSTRUCTION_METHODS",
     "MarginalConstraint",
     "RECONSTRUCTION_METHODS",
     "ResidualIndex",
     "build_constraint_system",
-    "categorical_maxent",
     "covering_view",
-    "extract_categorical_constraints",
     "extract_constraints",
     "fwht",
-    "reconstruct_mixed",
     "least_squares",
     "linear_program",
     "maxent",
@@ -220,4 +217,5 @@ __all__ = [
     "reconstruct_batch",
     "residual",
     "residual_batch",
+    "resolve_target",
 ]

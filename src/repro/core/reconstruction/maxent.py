@@ -4,8 +4,10 @@ Subject to a consistent family of marginal constraints, the
 maximum-entropy table is the fixpoint of Iterative Proportional
 Fitting (Darroch & Ratcliff 1972): start uniform, repeatedly rescale
 the cells so each constrained sub-marginal matches its target.  IPF is
-fast (a handful of O(2**k) sweeps), always non-negative, and exactly
-solves the optimisation the paper states.
+fast (a handful of O(cells) sweeps), always non-negative, and exactly
+solves the optimisation the paper states — for binary and categorical
+targets alike ("can be applied directly with non-binary categorical
+attributes", Section 4.7).
 
 A scipy dual-ascent solver (:func:`maxent_dual`) is provided as an
 independent cross-check; both are exercised against each other in the
@@ -81,7 +83,6 @@ def maxent(
         whether the damped fallback ran) in ``table.meta["maxent"]``.
     """
     target = AttrSet(target_attrs)
-    k = len(target)
     total = max(float(total), _TINY)
     if not constraints:
         table = MarginalTable.uniform(target, total)
@@ -96,10 +97,10 @@ def maxent(
     prepared = []
     for attrs_arr, tgt in _prepare_targets(constraints, total):
         positions = subset_positions(target, tuple(int(a) for a in attrs_arr))
-        pmap = projection_map(k, positions)
+        pmap = projection_map(target.radix, positions)
         prepared.append((pmap, tgt))
 
-    cells = np.full(1 << k, total / (1 << k))
+    cells = np.full(target.size, total / target.size)
     mismatch, cycles = _ipf_sweeps(
         cells, prepared, total, max_cycles, tol, damping=1.0
     )
@@ -164,9 +165,10 @@ def maxent_batch(
 ) -> list[MarginalTable]:
     """Stacked IPF: fit many targets with vectorised sweeps.
 
-    The aggregate-then-adjust idiom: targets are grouped by arity, and
-    within a group constraints sharing the same *position signature*
-    (which bit positions of the target they pin) share one projection
+    The aggregate-then-adjust idiom: targets are grouped by their
+    arity tuple (``target.radix``), and within a group constraints
+    sharing the same *position signature* (which attribute positions of
+    the target they pin) share one projection
     map — each sweep then applies every such signature to all of its
     rows at once through a single dense matmul + gather, instead of one
     bincount per query per constraint.  Each row still converges to
@@ -184,7 +186,7 @@ def maxent_batch(
     total = max(float(total), _TINY)
     out: list[MarginalTable | None] = [None] * len(targets)
 
-    by_arity: dict[int, list[int]] = {}
+    by_radix: dict[tuple[int, ...], list[int]] = {}
     for i, target in enumerate(targets):
         if not constraint_lists[i]:
             table = MarginalTable.uniform(target, total)
@@ -194,10 +196,11 @@ def maxent_batch(
             }
             out[i] = table
             continue
-        by_arity.setdefault(len(target), []).append(i)
+        by_radix.setdefault(target.radix, []).append(i)
 
-    for k, indices in by_arity.items():
-        cells = np.full((len(indices), 1 << k), total / (1 << k))
+    for radix, indices in by_radix.items():
+        size = targets[indices[0]].size
+        cells = np.full((len(indices), size), total / size)
         # positions signature -> (row indices, stacked prepared targets)
         by_positions: dict[tuple[int, ...], tuple[list[int], list[np.ndarray]]] = {}
         for row, i in enumerate(indices):
@@ -212,7 +215,8 @@ def maxent_batch(
         # ordering for the per-query solver.
         groups = [
             (np.asarray(rows), np.vstack(tgts),
-             projection_map(k, positions), constraint_matrix(k, positions))
+             projection_map(radix, positions),
+             constraint_matrix(radix, positions))
             for positions, (rows, tgts) in sorted(
                 by_positions.items(), key=lambda kv: (-len(kv[0]), kv[0])
             )
@@ -262,7 +266,7 @@ def _ipf_sweeps_grouped(
     tol: float,
     damping: float,
 ) -> tuple[np.ndarray, int]:
-    """Vectorised IPF sweeps over an ``(n, 2**k)`` row stack, in place.
+    """Vectorised IPF sweeps over an ``(n, cells)`` row stack, in place.
 
     ``groups`` holds ``(rows, targets, pmap, matrix)`` per position
     signature; returns ``(relative mismatch per row, sweeps run)``.

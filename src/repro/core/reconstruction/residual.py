@@ -2,7 +2,9 @@
 non-negativity — the ReM method of Mullins et al., *Efficient and
 Private Marginal Reconstruction with Local Non-Negativity*.
 
-Binary marginals diagonalise in the Walsh–Hadamard ("residual") basis:
+Binary marginals diagonalise in the Walsh–Hadamard ("residual") basis
+(this solver is binary-only; categorical tables raise
+:class:`~repro.exceptions.DimensionError`):
 for a target table ``T_A`` over ``k`` attributes, coefficient
 ``theta_m = sum_x (-1)^{popcount(m & x)} T_A[x]``, and the marginal of
 ``T_A`` over a subset ``B`` determines exactly the coefficients whose
@@ -42,12 +44,22 @@ import numpy as np
 
 from repro import obs
 from repro.core.reconstruction.constraints import MarginalConstraint
-from repro.exceptions import ReconstructionError
+from repro.exceptions import DimensionError, ReconstructionError
 from repro.marginals.attrs import AttrSet
 from repro.marginals.projection import embedding_masks, subset_positions
 from repro.marginals.table import MarginalTable
 
 _TINY = 1e-12
+
+
+def _require_binary(attrs: AttrSet, what: str) -> None:
+    """The Walsh–Hadamard basis is binary: refuse categorical tables."""
+    if not attrs.is_binary:
+        raise DimensionError(
+            f"residual reconstruction is binary-only; {what} {attrs!r} "
+            "has non-binary attributes (use maxent, maxent-dual, lsq or lp)"
+        )
+
 
 #: Below this length the transform is one dense matmul against a cached
 #: Hadamard matrix (BLAS beats the Python butterfly loop by an order of
@@ -233,6 +245,7 @@ def residual_batch(
 
     by_arity: dict[int, list[int]] = {}
     for i, target in enumerate(targets):
+        _require_binary(target, "target")
         if not target:
             out[i] = _empty_table(total)
             continue
@@ -352,7 +365,8 @@ class ResidualIndex:
 
     Raises :class:`ReconstructionError` at construction when a view
     holds non-finite mass, so callers can fall back *before* caching
-    anything poisoned.
+    anything poisoned, and :class:`DimensionError` when a view is
+    categorical (the residual basis is binary-only).
     """
 
     def __init__(self, views: list[MarginalTable], total: float | None = None):
@@ -361,6 +375,8 @@ class ResidualIndex:
                 float(sum(v.total() for v in views) / len(views))
                 if views else 0.0
             )
+        for view in views:
+            _require_binary(view.attrs, "view")
         self.total = float(total)
         coeff_sum: dict[tuple[int, ...], float] = {}
         coeff_cnt: dict[tuple[int, ...], int] = {}

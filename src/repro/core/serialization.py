@@ -43,6 +43,7 @@ from repro.exceptions import (
     SynopsisFormatError,
     SynopsisIntegrityError,
 )
+from repro.marginals.attrs import AttrSet
 from repro.marginals.domain import Domain
 from repro.marginals.table import MarginalTable
 
@@ -97,7 +98,7 @@ def payload_digest(views, domain=None, kind: str = "priview") -> str:
         digest.update(f"domain:{schema}\n".encode())
     for view in views:
         digest.update(repr(tuple(int(a) for a in view.attrs)).encode())
-        arities = getattr(view, "arities", None)
+        arities = view.attrs.arities
         if arities is not None:
             digest.update(repr(tuple(int(b) for b in arities)).encode())
         digest.update(
@@ -211,24 +212,21 @@ def load_synopsis(path: str | os.PathLike, verify: bool = True):
                 archive[f"view_{i}"]
                 for i in range(len(header["view_attrs"]))
             ]
+        # v3 categorical files record each view's arities; binary
+        # views (and every pre-v3 file) have none.
+        view_arities = header.get("view_arities") or [None] * len(counts)
+        views = [
+            MarginalTable(AttrSet(attrs, arities=arities), cells, dict(meta))
+            for attrs, arities, cells, meta in zip(
+                header["view_attrs"], view_arities, counts, metas
+            )
+        ]
         if kind == "categorical":
             # Imported lazily: repro.categorical itself imports the
             # core at module level, so the reverse edge must not exist
             # at import time.
             from repro.categorical.priview import CategoricalSynopsis
-            from repro.categorical.table import CategoricalMarginalTable
 
-            views = [
-                CategoricalMarginalTable(
-                    tuple(attrs), tuple(arities), cells, dict(meta)
-                )
-                for attrs, arities, cells, meta in zip(
-                    header["view_attrs"],
-                    header["view_arities"],
-                    counts,
-                    metas,
-                )
-            ]
             synopsis = CategoricalSynopsis(
                 views=views,
                 arities=tuple(header["arities"]),
@@ -237,12 +235,6 @@ def load_synopsis(path: str | os.PathLike, verify: bool = True):
                 domain=domain,
             )
         elif kind == "priview":
-            views = [
-                MarginalTable(tuple(attrs), cells, dict(meta))
-                for attrs, cells, meta in zip(
-                    header["view_attrs"], counts, metas
-                )
-            ]
             synopsis = PriViewSynopsis(
                 design=CoveringDesign.from_text(header["design"]),
                 views=views,

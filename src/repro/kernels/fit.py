@@ -45,17 +45,16 @@ def _install_source(source) -> None:
 def _noisy_view(source, item) -> MarginalTable:
     """One view: exact marginal + per-view Laplace stream.
 
-    Rebuilds through the table's own ``with_counts``, so binary
-    (:class:`MarginalTable`) and categorical
-    (:class:`~repro.categorical.table.CategoricalMarginalTable`)
-    sources flow through the same fan-out unchanged.
+    Binary and categorical sources flow through the same fan-out: the
+    rebuilt table keeps the marginal's attribute set, arities and all.
     """
     block, scale, seed_seq = item
     table = source.marginal(block)
     if scale > 0.0:
         rng = np.random.default_rng(seed_seq)
-        table = table.with_counts(
-            table.counts + rng.laplace(loc=0.0, scale=scale, size=table.counts.shape)
+        table = MarginalTable(
+            table.attrs,
+            table.counts + rng.laplace(loc=0.0, scale=scale, size=table.counts.shape),
         )
     return table
 

@@ -21,7 +21,7 @@ from repro.marginals import projection
 CACHED_KERNELS = {
     "projection_map": projection.projection_map,
     "subset_positions": projection.subset_positions,
-    "projection_index": projection.projection_index,
+    "projection_index": projection._projection_index,
     "constraint_matrix": projection.constraint_matrix,
     "cell_neighbours": projection.cell_neighbours,
 }

@@ -26,16 +26,17 @@ property-tested in ``tests/kernels/test_packed_cat.py``.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from repro import obs
-from repro.categorical.indexing import strides, table_size
-from repro.categorical.table import CategoricalMarginalTable
 from repro.exceptions import DimensionError
 from repro.kernels.packed import DEFAULT_CHUNK_WORDS, bit_histogram, pack_columns
 from repro.marginals.attrs import AttrSet
 from repro.marginals.domain import Domain, as_domain
+from repro.marginals.projection import strides
+from repro.marginals.table import MarginalTable
 
 
 def plane_count(arity: int) -> int:
@@ -237,7 +238,7 @@ class PackedCategoricalDataset:
         """Exact mixed-radix cell counts of the marginal over ``attrs``."""
         attrs = AttrSet(attrs, self.num_attributes)
         rows, sel_arities = self._plane_rows(attrs)
-        size = table_size(sel_arities)
+        size = math.prod(sel_arities)
         with obs.span("kernel.marginal"):
             if not rows:
                 counts = np.array([float(self._num_records)])
@@ -256,7 +257,7 @@ class PackedCategoricalDataset:
     def _wide_counts(self, rows, sel_arities) -> np.ndarray:
         """Chunked unpack + bincount for targets wider than 8 planes."""
         cell_strides = strides(sel_arities)
-        counts = np.zeros(table_size(sel_arities), dtype=np.int64)
+        counts = np.zeros(math.prod(sel_arities), dtype=np.int64)
         nwords = self._words.shape[1]
         plane_rows = self._words[rows]
         nbits = [plane_count(b) for b in sel_arities]
@@ -283,7 +284,7 @@ class PackedCategoricalDataset:
             counts += np.bincount(idx, minlength=counts.size)
         return counts.astype(np.float64)
 
-    def marginal(self, attrs) -> CategoricalMarginalTable:
+    def marginal(self, attrs) -> MarginalTable:
         """The exact (non-private) marginal table over ``attrs``.
 
         Bitwise identical to ``CategoricalDataset.marginal`` on the
@@ -291,11 +292,11 @@ class PackedCategoricalDataset:
         """
         attrs = AttrSet(attrs, self.num_attributes)
         _, sel_arities = self._plane_rows(attrs)
-        return CategoricalMarginalTable(
-            tuple(attrs), sel_arities, self.cell_counts(attrs)
+        return MarginalTable(
+            attrs.with_arities(sel_arities), self.cell_counts(attrs)
         )
 
-    def marginals(self, attr_sets) -> list[CategoricalMarginalTable]:
+    def marginals(self, attr_sets) -> list[MarginalTable]:
         return [self.marginal(attrs) for attrs in attr_sets]
 
 

@@ -7,11 +7,14 @@ contingency tables, and the full contingency table (for small ``d``).
 Cell indexing convention
 ------------------------
 A marginal table over the sorted attribute tuple ``attrs = (a_0 < a_1 <
-... < a_{m-1})`` stores ``2**m`` cells.  Cell ``i`` corresponds to the
-assignment where attribute ``a_j`` takes the value ``(i >> j) & 1``.
-Every module in this package uses this convention; helpers in
-:mod:`repro.marginals.projection` translate between tables over nested
-attribute sets.
+... < a_{m-1})`` with arities ``(b_0, ..., b_{m-1})`` stores
+``prod(b_j)`` cells.  Cell ``i`` corresponds to the assignment where
+attribute ``a_j`` takes the value ``(i // stride_j) % b_j``, with
+``stride_j = b_0 * ... * b_{j-1}``.  Binary attributes are the case
+``b_j = 2``, where the value is bit ``j`` of ``i``; an
+:class:`AttrSet` without arities is binary.  Every module uses this
+convention; helpers in :mod:`repro.marginals.projection` translate
+between tables over nested attribute sets.
 """
 
 from repro.marginals.attrs import AttrSet, as_attrs
@@ -25,9 +28,11 @@ from repro.marginals.domain import (
 from repro.marginals.table import MarginalTable
 from repro.marginals.contingency import FullContingencyTable
 from repro.marginals.projection import (
+    cell_neighbours,
     constraint_matrix,
     projection_index,
     projection_map,
+    strides,
 )
 from repro.marginals.queries import (
     all_attribute_subsets,
@@ -54,6 +59,8 @@ __all__ = [
     "projection_map",
     "projection_index",
     "constraint_matrix",
+    "cell_neighbours",
+    "strides",
     "all_attribute_subsets",
     "consecutive_attribute_sets",
     "random_attribute_sets",

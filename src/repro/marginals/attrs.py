@@ -48,10 +48,10 @@ class AttrSet(tuple):
     arities:
         Optional per-attribute arities (number of values), aligned
         with the *input* ``attrs`` order and re-sorted alongside them.
-        Arities are metadata: they never affect equality or hashing,
-        so an ``AttrSet`` with arities still equals (and keys the same
-        caches as) the bare tuple.  Binary-only callers that never
-        pass ``arities`` see exactly the legacy behaviour.
+        Arities never affect equality or hashing, so an ``AttrSet``
+        with arities still equals the bare tuple; a cache keyed on
+        attribute tuples must therefore add :attr:`radix` to its key.
+        No arities means binary.
     """
 
     # No __slots__: tuple subclasses cannot carry nonempty slots, and
@@ -141,6 +141,20 @@ class AttrSet(tuple):
     def arities(self) -> tuple[int, ...] | None:
         """Per-attribute arities aligned with the sorted attrs, if known."""
         return self._arities
+
+    @property
+    def radix(self) -> tuple[int, ...]:
+        """Per-attribute arities, ``(2,) * arity`` when none are attached.
+
+        The mixed-radix base of a table over this set: cell ``i``
+        gives attribute ``j`` the value ``(i // stride_j) % radix[j]``
+        (see :func:`repro.marginals.projection.strides`).  This is
+        what every index helper takes, so a binary set is simply the
+        all-2 case.
+        """
+        if self._arities is not None:
+            return self._arities
+        return (2,) * len(self)
 
     @property
     def is_binary(self) -> bool:

@@ -63,12 +63,8 @@ class FullContingencyTable:
 
     def marginal(self, attrs) -> MarginalTable:
         """The marginal over ``attrs`` obtained by summing cells."""
-        attrs = AttrSet(attrs)
-        if attrs and attrs[-1] >= self.num_attributes:
-            raise DimensionError(
-                f"attribute {attrs[-1]} out of range (d={self.num_attributes})"
-            )
-        pmap = projection_map(self.num_attributes, attrs)
+        attrs = AttrSet(attrs, self.num_attributes)
+        pmap = projection_map((2,) * self.num_attributes, attrs)
         counts = np.bincount(pmap, weights=self.counts, minlength=1 << len(attrs))
         return MarginalTable(attrs, counts)
 

@@ -115,17 +115,13 @@ class BinaryDataset:
     # ------------------------------------------------------------------
     def cell_index(self, attrs) -> np.ndarray:
         """Per-record cell index within the marginal over ``attrs``."""
-        attrs = AttrSet(attrs)
-        if attrs and attrs[-1] >= self.num_attributes:
-            raise DimensionError(
-                f"attribute {attrs[-1]} out of range (d={self.num_attributes})"
-            )
+        attrs = AttrSet(attrs, self.num_attributes)
         weights = (np.int64(1) << np.arange(len(attrs), dtype=np.int64))
         return self._data[:, list(attrs)].astype(np.int64) @ weights
 
     def marginal(self, attrs) -> MarginalTable:
         """The exact (non-private) marginal table over ``attrs``."""
-        attrs = AttrSet(attrs)
+        attrs = AttrSet(attrs, self.num_attributes)
         idx = self.cell_index(attrs)
         counts = np.bincount(idx, minlength=1 << len(attrs)).astype(np.float64)
         return MarginalTable(attrs, counts)

@@ -15,7 +15,7 @@ it in :class:`~repro.store.manifest.VersionInfo` metadata, and
 :mod:`repro.synth` decodes sampled records back into labelled values.
 
 Cell indexing stays the library-wide mixed-radix convention (see
-:mod:`repro.categorical.indexing`): a table over attributes with
+:mod:`repro.marginals.projection`): a table over attributes with
 arities ``(b_0, ..., b_{m-1})`` assigns attribute ``j`` the value
 ``(i // stride_j) % b_j`` in cell ``i`` — which degenerates to the
 binary bit-``j`` convention when every arity is 2.

@@ -2,17 +2,19 @@
 
 A marginal table over an attribute set ``A`` holds one (possibly noisy,
 possibly negative) real count per assignment of the attributes in
-``A``.  It supports the operations PriView needs:
+``A``.  The attributes may be binary or categorical: the arities ride
+on the table's :class:`~repro.marginals.attrs.AttrSet`, and a set
+without arities is binary.  It supports the operations PriView needs:
 
 * ``project`` — the paper's ``T_A[A']`` (Section 4.1, Notation);
 * ``consistency_update`` — the mutual-consistency cell update of
-  Section 4.4;
+  Section 4.4, which Section 4.7 applies unchanged to categorical
+  attributes;
 * ``normalized`` — the paper's ``norm(T_A)`` used by the JS divergence.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +24,6 @@ from repro.marginals.attrs import AttrSet
 from repro.marginals.projection import projection_index
 
 
-def __getattr__(name: str):
-    # Deprecated pre-1.1 entry point; AttrSet is the public canonicalizer.
-    if name == "_as_sorted_attrs":
-        warnings.warn(
-            "repro.marginals.table._as_sorted_attrs is deprecated; "
-            "use repro.marginals.attrs.AttrSet instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AttrSet
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class MarginalTable:
     """A contingency table over a sorted tuple of attribute indices.
@@ -42,10 +31,14 @@ class MarginalTable:
     Attributes
     ----------
     attrs:
-        The sorted attribute indices the table is over.
+        The sorted attribute indices the table is over, as an
+        :class:`AttrSet`; categorical tables carry their per-attribute
+        arities on it (``AttrSet(attrs, arities=...)``).
     counts:
-        Float array of length ``2**len(attrs)``; cell ``i`` counts the
-        records where attribute ``attrs[j]`` equals ``(i >> j) & 1``.
+        Float array of ``attrs.size`` cells; cell ``i`` counts the
+        records where attribute ``attrs[j]`` equals
+        ``(i // stride_j) % radix[j]`` — bit ``j`` of ``i`` for a
+        binary table.
     meta:
         Free-form provenance/telemetry attached by producers — e.g.
         the max-entropy reconstructor stores its convergence record
@@ -59,10 +52,10 @@ class MarginalTable:
     def __post_init__(self) -> None:
         self.attrs = AttrSet(self.attrs)
         counts = np.asarray(self.counts, dtype=np.float64)
-        if counts.shape != (1 << len(self.attrs),):
+        if counts.shape != (self.attrs.size,):
             raise DimensionError(
                 f"counts has shape {counts.shape}, expected "
-                f"({1 << len(self.attrs)},) for attrs {self.attrs}"
+                f"({self.attrs.size},) for attrs {self.attrs!r}"
             )
         self.counts = counts
 
@@ -73,13 +66,13 @@ class MarginalTable:
     def zeros(cls, attrs) -> "MarginalTable":
         """An all-zero table over ``attrs``."""
         attrs = AttrSet(attrs)
-        return cls(attrs, np.zeros(1 << len(attrs)))
+        return cls(attrs, np.zeros(attrs.size))
 
     @classmethod
     def uniform(cls, attrs, total: float) -> "MarginalTable":
         """A uniform table over ``attrs`` whose cells sum to ``total``."""
         attrs = AttrSet(attrs)
-        size = 1 << len(attrs)
+        size = attrs.size
         return cls(attrs, np.full(size, total / size))
 
     # ------------------------------------------------------------------
@@ -91,8 +84,13 @@ class MarginalTable:
         return len(self.attrs)
 
     @property
+    def arities(self) -> tuple[int, ...] | None:
+        """Per-attribute arities of a categorical table; None if binary."""
+        return self.attrs.arities
+
+    @property
     def size(self) -> int:
-        """Number of cells, ``2**arity``."""
+        """Number of cells, ``prod(attrs.radix)``."""
         return self.counts.size
 
     def total(self) -> float:
@@ -103,40 +101,37 @@ class MarginalTable:
         """A deep copy (the counts array is copied, meta shallow-copied)."""
         return MarginalTable(self.attrs, self.counts.copy(), dict(self.meta))
 
-    def with_counts(self, counts) -> "MarginalTable":
-        """A same-shape table over the same attrs with new counts.
-
-        The type-generic rebuild hook the noisy-view fan-out uses, so
-        binary and categorical tables flow through the same kernel.
-        """
-        return MarginalTable(self.attrs, counts)
-
     # ------------------------------------------------------------------
     # Projection and consistency
     # ------------------------------------------------------------------
     def project(self, sub_attrs) -> "MarginalTable":
         """The marginal over ``sub_attrs`` obtained by summing cells.
 
-        ``sub_attrs`` must be a subset of :attr:`attrs`.  Projecting
-        onto the empty tuple yields a 1-cell table holding the total.
+        ``sub_attrs`` must be a subset of :attr:`attrs`; the result
+        keeps those attributes' arities.  Projecting onto the empty
+        tuple yields a 1-cell table holding the total.
         """
         sub = AttrSet(sub_attrs)
-        _, pmap = projection_index(self.attrs, sub)
-        counts = np.bincount(pmap, weights=self.counts, minlength=1 << len(sub))
+        positions, pmap = projection_index(self.attrs, sub)
+        arities = self.attrs.arities
+        if arities is not None:
+            sub = sub.with_arities(arities[p] for p in positions)
+        counts = np.bincount(pmap, weights=self.counts, minlength=sub.size)
         return MarginalTable(sub, counts)
 
     def consistency_update(self, target: "MarginalTable") -> None:
         """Shift cells so that ``self.project(target.attrs) == target``.
 
         Implements the Section 4.4 update: every cell ``c`` receives
-        ``(T_A(a) - T_self[A](a)) / 2**(arity - |A|)`` where ``a`` is
-        ``c`` restricted to ``A = target.attrs``.  The projection of
-        ``self`` onto any attribute set disjoint from ``A`` is
-        unchanged (Lemma 1).
+        ``(T_A(a) - T_self[A](a)) / (size / |A's cells|)`` where ``a``
+        is ``c`` restricted to ``A = target.attrs`` — the number of
+        cells collapsing onto each target cell, ``2**(arity - |A|)``
+        for binary tables.  The projection of ``self`` onto any
+        attribute set disjoint from ``A`` is unchanged (Lemma 1).
         """
         _, pmap = projection_index(self.attrs, target.attrs)
         current = np.bincount(pmap, weights=self.counts, minlength=target.size)
-        delta = (target.counts - current) / float(1 << (self.arity - target.arity))
+        delta = (target.counts - current) / float(self.size // target.size)
         self.counts += delta[pmap]
 
     # ------------------------------------------------------------------

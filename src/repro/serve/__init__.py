@@ -35,9 +35,6 @@ Quick tour::
 
     with serve_store("synopses/", port=0, watch=True) as server:
         QueryClient(server.url).marginal((0, 3), dataset="adult")
-
-(``serve_synopsis`` remains as a deprecated alias of
-:func:`serve_source`.)
 """
 
 from repro.serve.cache import SingleFlightLRU
@@ -65,7 +62,6 @@ from repro.serve.server import (
     MarginalServer,
     serve_source,
     serve_store,
-    serve_synopsis,
 )
 
 __all__ = [
@@ -90,5 +86,4 @@ __all__ = [
     "SingleFlightLRU",
     "serve_source",
     "serve_store",
-    "serve_synopsis",
 ]

@@ -130,8 +130,9 @@ class QueryEngine:
     source:
         Any :class:`~repro.baselines.base.MarginalSource` exposing
         ``marginal(attrs)`` and ``num_attributes``.  A
-        :class:`~repro.core.synopsis.PriViewSynopsis` (fitted or
-        loaded via :func:`~repro.core.serialization.load_synopsis`)
+        :class:`~repro.core.synopsis.PriViewSynopsis` or
+        :class:`~repro.categorical.priview.CategoricalSynopsis` (fitted
+        or loaded via :func:`~repro.core.serialization.load_synopsis`)
         additionally exposes ``views`` and gets the full planner —
         covered / derived / solved.  A viewless source (a fitted
         baseline mechanism, say) answers every cache miss through its
@@ -175,14 +176,6 @@ class QueryEngine:
         self.default_method = default_method
         self.derive_from_cache = derive_from_cache
         self._views: list[MarginalTable] = list(getattr(source, "views", ()) or ())
-        # Mixed-radix (categorical) sources carry non-binary view
-        # tables the binary planner and solvers must not touch: treat
-        # them as viewless, so every cache miss is answered by the
-        # source's own reconstruct()/marginal() (still planned,
-        # cached, coalesced and counted like any solved query).
-        self._mixed = getattr(source, "arities", None) is not None
-        if self._mixed:
-            self._views = []
         self._planner = QueryPlanner(self._views, source.num_attributes)
         self._cache = SingleFlightLRU(cache_size)
         self._pool = ThreadPoolExecutor(
@@ -476,15 +469,8 @@ class QueryEngine:
                     target, method
                 )
             else:
-                # Viewless source: the mechanism answers directly —
-                # through its engine-independent reconstruct() when it
-                # has one (an attached synopsis's marginal() routes
-                # back here, so calling it would recurse).
-                direct = getattr(self.source, "reconstruct", None)
-                if callable(direct):
-                    table = direct(target, method=method)
-                else:
-                    table = self.source.marginal(target)
+                # Viewless source: the mechanism answers directly.
+                table = self.source.marginal(target)
         self._note_cached_arity(method, len(target))
         return _CacheEntry(table=table, path=plan.path, source=plan.source)
 
@@ -524,7 +510,9 @@ class QueryEngine:
         one that blows up (singular system, NaN noise in a view) falls
         back to ``maxent`` — the answer is cached under the *requested*
         method's key, and the fallback is counted in
-        ``serve.solve.fallback`` and the engine stats.
+        ``serve.solve.fallback`` and the engine stats.  Residual over
+        categorical views is a request error (``DimensionError``), not
+        a fallback.
         """
         start = perf_counter()
         try:
@@ -557,8 +545,8 @@ class QueryEngine:
         one :func:`reconstruct_batch` call.  Returns ``{key: table}``
         for the pre-solved keys — everything else (covered, derived,
         already cached, singleton groups) flows through the ordinary
-        per-key route.  A failing ``residual`` stack falls back to one
-        ``maxent`` stack; failures of other methods are left to the
+        per-key route.  A ``residual`` stack that blows up falls back
+        to one ``maxent`` stack; any other failure is left to the
         per-key solve so each key surfaces its own error.
         """
         if not self._views:
@@ -597,6 +585,10 @@ class QueryEngine:
                     self._views, targets, method="maxent",
                     use_covering_view=False, total=self._total,
                 )
+            except ReproError:
+                # e.g. residual over categorical views: a request
+                # error, which the per-key route raises and counts
+                continue
             obs.observe(
                 "serve.solve_seconds", perf_counter() - start,
                 self._solve_labels[method, "batch"],

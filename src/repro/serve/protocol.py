@@ -30,7 +30,9 @@ Errors (any status >= 400)::
 
 ``counts`` uses the library-wide cell convention: sorted attrs
 ``(a_0 < ... < a_{m-1})``, cell ``i`` counts records with
-``a_j = (i >> j) & 1``.
+``a_j = (i // stride_j) % b_j`` — ``(i >> j) & 1`` for binary
+attributes.  Answers over categorical attributes add
+``"arities": [b_0, ...]``; binary answers carry no ``arities`` key.
 """
 
 from __future__ import annotations
@@ -58,31 +60,20 @@ def encode_answer(answer: QueryAnswer) -> dict:
         "counts": answer.table.counts.tolist(),
         "meta": jsonable(answer.table.meta),
     }
-    arities = getattr(answer.table, "arities", None)
+    arities = answer.table.attrs.arities
     if arities is not None:
         payload["arities"] = [int(b) for b in arities]
     return payload
 
 
-def decode_table(payload: dict):
+def decode_table(payload: dict) -> MarginalTable:
     """Rebuild the marginal table from an answer payload.
 
-    Payloads carrying ``arities`` (mixed-type synopses) come back as
-    :class:`~repro.categorical.table.CategoricalMarginalTable`; binary
-    payloads as :class:`MarginalTable`.
+    ``arities``, present on answers over categorical attributes and
+    absent on binary ones, rides back onto the table's attribute set.
     """
-    arities = payload.get("arities")
-    if arities is not None:
-        from repro.categorical.table import CategoricalMarginalTable
-
-        return CategoricalMarginalTable(
-            tuple(payload["attrs"]),
-            tuple(int(b) for b in arities),
-            np.asarray(payload["counts"], dtype=np.float64),
-            dict(payload.get("meta") or {}),
-        )
     return MarginalTable(
-        tuple(payload["attrs"]),
+        AttrSet(payload["attrs"], arities=payload.get("arities")),
         np.asarray(payload["counts"], dtype=np.float64),
         dict(payload.get("meta") or {}),
     )

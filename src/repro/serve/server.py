@@ -632,15 +632,3 @@ def serve_store(
         metrics_interval_s=metrics_interval_s,
     )
 
-
-def serve_synopsis(synopsis_or_path, **kwargs) -> MarginalServer:
-    """Deprecated alias for :func:`serve_source`."""
-    import warnings
-
-    warnings.warn(
-        "serve_synopsis is deprecated; use repro.serve.serve_source, "
-        "which hosts any MarginalSource",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return serve_source(synopsis_or_path, **kwargs)

@@ -19,7 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import DimensionError, SynthesisError
+from repro.marginals.attrs import AttrSet
 from repro.marginals.domain import Domain
+from repro.marginals.projection import strides
+from repro.marginals.table import MarginalTable
 
 
 @dataclass
@@ -61,21 +64,16 @@ class SyntheticRecords:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def marginal(self, attrs):
+    def marginal(self, attrs) -> MarginalTable:
         """The population's exact marginal over ``attrs`` (indices or
-        names), as a
-        :class:`~repro.categorical.table.CategoricalMarginalTable`."""
-        from repro.categorical.table import CategoricalMarginalTable
-
-        resolved = tuple(sorted(self.domain.attr_set(attrs)))
-        arities = tuple(self.domain.arities[a] for a in resolved)
-        strides = np.ones(len(resolved), dtype=np.int64)
-        for j in range(1, len(resolved)):
-            strides[j] = strides[j - 1] * arities[j - 1]
-        size = int(np.prod(arities)) if arities else 1
-        idx = self.data[:, list(resolved)] @ strides
-        counts = np.bincount(idx, minlength=size).astype(np.float64)
-        return CategoricalMarginalTable(resolved, arities, counts)
+        names), with the domain's arities on its attribute set."""
+        resolved = AttrSet(self.domain.attr_set(attrs))
+        resolved = resolved.with_arities(self.domain.arities[a] for a in resolved)
+        idx = self.data[:, list(resolved)] @ np.array(
+            strides(resolved.radix), dtype=np.int64
+        )
+        counts = np.bincount(idx, minlength=resolved.size).astype(np.float64)
+        return MarginalTable(resolved, counts)
 
     def count(self, **conditions) -> int:
         """Records matching every ``name=value`` condition.

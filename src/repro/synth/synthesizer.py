@@ -28,11 +28,14 @@ handles both.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import obs
 from repro.exceptions import SynthesisError
 from repro.marginals.domain import Domain
+from repro.marginals.projection import strides
 from repro.synth.records import SyntheticRecords
 
 #: guard against float-noise "improvements" flapping accept/revert
@@ -85,11 +88,8 @@ class _ViewSpec:
     def __init__(self, attrs, arities, counts):
         self.attrs = np.asarray(attrs, dtype=np.int64)
         self.arities = tuple(int(b) for b in arities)
-        strides = np.ones(len(self.arities), dtype=np.int64)
-        for j in range(1, len(self.arities)):
-            strides[j] = strides[j - 1] * self.arities[j - 1]
-        self.strides = strides
-        self.size = int(np.prod(self.arities)) if self.arities else 1
+        self.strides = np.array(strides(self.arities), dtype=np.int64)
+        self.size = math.prod(self.arities)
         self.dtype = _code_dtype(self.size)
         probs = np.maximum(np.asarray(counts, dtype=np.float64), 0.0)
         total = probs.sum()
@@ -116,21 +116,15 @@ class _ViewSpec:
         return out
 
 
-def _view_specs(synopsis, domain: Domain) -> list[_ViewSpec]:
+def _view_specs(synopsis) -> list[_ViewSpec]:
     views = list(getattr(synopsis, "views", ()) or ())
     if not views:
         raise SynthesisError(
             f"{type(synopsis).__name__} has no views to synthesise from"
         )
-    arities = domain.arities
-    specs = []
-    for view in views:
-        attrs = tuple(int(a) for a in view.attrs)
-        view_arities = getattr(view, "arities", None)
-        if view_arities is None:  # binary MarginalTable
-            view_arities = tuple(arities[a] for a in attrs)
-        specs.append(_ViewSpec(attrs, view_arities, view.counts))
-    return specs
+    return [
+        _ViewSpec(view.attrs, view.attrs.radix, view.counts) for view in views
+    ]
 
 
 class Synthesizer:
@@ -184,7 +178,7 @@ class Synthesizer:
         fit_start = perf_counter()
         with obs.span("synth.fit"), obs.budget_scope("Synthesizer.fit", 0.0):
             domain = domain_of(synopsis)
-            specs = _view_specs(synopsis, domain)
+            specs = _view_specs(synopsis)
             if num_records is None:
                 num_records = int(round(float(synopsis.total_count())))
             n = int(num_records)

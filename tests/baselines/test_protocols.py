@@ -23,7 +23,7 @@ from repro.baselines import (
 )
 from repro.exceptions import ReconstructionError
 from repro.kernels import PackedDataset
-from repro.serve import PATH_SOLVED, QueryEngine, serve_source, serve_synopsis
+from repro.serve import PATH_SOLVED, QueryEngine, serve_source
 
 
 def _mechanisms():
@@ -102,11 +102,3 @@ class TestServeAnyMechanism:
         assert payload["status"] == "ok"
         assert payload["design"] is None
         assert payload["num_attributes"] == tiny_dataset.num_attributes
-
-    def test_serve_synopsis_deprecated(self, tiny_dataset):
-        synopsis = PriView(
-            float("inf"), view_width=3, strength=1, seed=0
-        ).fit(tiny_dataset)
-        with pytest.warns(DeprecationWarning, match="serve_source"):
-            server = serve_synopsis(synopsis, port=0)
-        server.engine.close()

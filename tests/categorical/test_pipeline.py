@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.nonnegativity import categorical_ripple
 from repro.categorical.priview import CategoricalPriView
-from repro.categorical.table import CategoricalMarginalTable
 from repro.categorical.views import select_categorical_views
+from repro.core.nonnegativity import ripple
 from repro.exceptions import DesignError, PrivacyBudgetError
+from repro.marginals import AttrSet, MarginalTable
 
 
 @pytest.fixture
@@ -61,15 +61,15 @@ class TestViewSelection:
 class TestCategoricalRipple:
     def test_preserves_total_and_bound(self, rng):
         counts = rng.laplace(scale=10, size=24) + 8
-        table = CategoricalMarginalTable((0, 1, 2), (3, 2, 4), counts.copy())
-        categorical_ripple(table, theta=0.5)
+        table = MarginalTable(AttrSet((0, 1, 2), arities=(3, 2, 4)), counts.copy())
+        ripple(table, theta=0.5)
         assert table.total() == pytest.approx(counts.sum(), abs=1e-8)
         assert table.counts.min() >= -0.5 - 1e-9
 
     def test_spread_to_value_neighbours(self):
         # arities (3,): neighbours of cell 0 are cells 1 and 2
-        table = CategoricalMarginalTable((0,), (3,), np.array([-6.0, 9.0, 9.0]))
-        categorical_ripple(table, theta=1.0)
+        table = MarginalTable(AttrSet((0,), arities=(3,)), np.array([-6.0, 9.0, 9.0]))
+        ripple(table, theta=1.0)
         assert table.counts[0] == 0.0
         assert table.counts[1] == pytest.approx(6.0)
         assert table.counts[2] == pytest.approx(6.0)
@@ -110,9 +110,7 @@ class TestPipeline:
                 continue
             truth = mixed_dataset.marginal(attrs)
             estimate = synopsis.marginal(attrs)
-            uniform = CategoricalMarginalTable.uniform(
-                truth.attrs, truth.arities, truth.total()
-            )
+            uniform = MarginalTable.uniform(truth.attrs, truth.total())
             err = np.linalg.norm(estimate.counts - truth.counts)
             uniform_err = np.linalg.norm(uniform.counts - truth.counts)
             assert err < uniform_err

@@ -7,8 +7,10 @@ from repro.core.reconstruction.constraints import (
     build_constraint_system,
     covering_view,
     extract_constraints,
+    resolve_target,
 )
-from repro.exceptions import ReconstructionError
+from repro.exceptions import DimensionError, ReconstructionError
+from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
 
 
@@ -87,3 +89,26 @@ class TestConstraintSystem:
         matrix, rhs = build_constraint_system(constraints, (1, 2, 3))
         assert matrix.shape[1] == 8
         assert matrix.shape[0] == rhs.size
+
+
+class TestResolveTarget:
+    def test_binary_views_leave_the_target_binary(self, small_dataset):
+        views = _views(small_dataset, [(0, 1, 2), (2, 3, 4)])
+        target = resolve_target(views, (1, 3))
+        assert target == (1, 3)
+        assert target.arities is None
+
+    def test_arities_come_from_the_views(self):
+        views = [
+            MarginalTable(AttrSet((0, 1), arities=(3, 2)), np.ones(6)),
+            MarginalTable(AttrSet((1, 2), arities=(2, 4)), np.ones(8)),
+        ]
+        assert resolve_target(views, (0, 2)).arities == (3, 4)
+
+    def test_disagreeing_arity_raises(self):
+        views = [MarginalTable(AttrSet((0, 1), arities=(3, 2)), np.ones(6))]
+        with pytest.raises(DimensionError):
+            resolve_target(views, AttrSet((0, 1), arities=(4, 2)))
+        binary = [MarginalTable((0, 1), np.ones(4))]
+        with pytest.raises(DimensionError):
+            resolve_target(binary, AttrSet((0,), arities=(3,)))

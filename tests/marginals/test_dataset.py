@@ -118,3 +118,9 @@ class TestMarginals:
     def test_attribute_means_empty(self):
         ds = BinaryDataset(np.zeros((0, 3), dtype=np.uint8))
         assert np.allclose(ds.attribute_means(), 0.0)
+
+    def test_negative_attribute_rejected(self, small_dataset):
+        with pytest.raises(DimensionError):
+            small_dataset.marginal((-1, 0))
+        with pytest.raises(DimensionError):
+            small_dataset.cell_index((-1,))

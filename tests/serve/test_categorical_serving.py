@@ -1,0 +1,117 @@
+"""A categorical synopsis gets the full planner: covered, derived, solved.
+
+Categorical views are ordinary :class:`MarginalTable` objects with
+arities, so the engine plans against them like binary ones; only
+``residual``, whose basis is binary, is refused — as a request error,
+never as a silent fallback to ``maxent``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.categorical.dataset import CategoricalDataset
+from repro.categorical.priview import CategoricalPriView
+from repro.exceptions import DimensionError, RemoteQueryError
+from repro.serve import (
+    PATH_COVERED,
+    PATH_DERIVED,
+    PATH_ERROR,
+    PATH_SOLVED,
+    MarginalServer,
+    QueryClient,
+    QueryEngine,
+)
+from repro.serve.protocol import encode_answer
+
+
+@pytest.fixture(scope="module")
+def synopsis():
+    rng = np.random.default_rng(3)
+    data = CategoricalDataset.random(3000, (3, 2, 4, 3, 2, 3), rng=rng)
+    return CategoricalPriView(1.0, max_cells=30, seed=4).fit(data)
+
+
+def _uncovered_with_superset(synopsis):
+    """An uncovered 3-set and an uncovered 4-set containing it."""
+    d = synopsis.num_attributes
+    for big in itertools.combinations(range(d), 4):
+        if synopsis.is_covered(big):
+            continue
+        for small in itertools.combinations(big, 3):
+            if not synopsis.is_covered(small):
+                return small, big
+    raise AssertionError("no uncovered nested pair in this synopsis")
+
+
+def test_covered_answer_is_the_first_covering_view(synopsis):
+    attrs = tuple(synopsis.views[1].attrs[:2])
+    first = next(v for v in synopsis.views if set(attrs) <= set(v.attrs))
+    with QueryEngine(synopsis) as engine:
+        answer = engine.answer(attrs)
+    assert answer.path == PATH_COVERED
+    assert answer.source == first.attrs
+    expected = first.project(attrs)
+    assert answer.table.counts.tobytes() == expected.counts.tobytes()
+    assert answer.table.arities == expected.arities
+
+
+def test_subset_of_a_solved_set_is_derived(synopsis):
+    small, big = _uncovered_with_superset(synopsis)
+    with QueryEngine(synopsis) as engine:
+        solved = engine.answer(big)
+        derived = engine.answer(small)
+    assert solved.path == PATH_SOLVED
+    assert solved.table.arities == tuple(synopsis.arities[a] for a in big)
+    assert "maxent" in solved.table.meta
+    assert derived.path == PATH_DERIVED
+    assert derived.source == big
+    assert np.array_equal(
+        derived.table.counts, solved.table.project(small).counts
+    )
+
+
+def test_stats_count_the_views(synopsis):
+    with QueryEngine(synopsis) as engine:
+        assert engine.stats()["synopsis"]["views"] == synopsis.num_views
+
+
+def test_answers_carry_arities_on_the_wire(synopsis):
+    attrs = tuple(synopsis.views[0].attrs[:2])
+    with QueryEngine(synopsis) as engine:
+        payload = encode_answer(engine.answer(attrs))
+    assert payload["arities"] == [synopsis.arities[a] for a in attrs]
+
+
+def test_binary_answers_carry_no_arities(chain_synopsis):
+    with QueryEngine(chain_synopsis) as engine:
+        covered = encode_answer(engine.answer(chain_synopsis.views[0].attrs[:2]))
+        solved = encode_answer(engine.answer((0, 2, 4, 6)))
+    assert solved["path"] == PATH_SOLVED
+    assert "arities" not in covered
+    assert "arities" not in solved
+
+
+def test_residual_is_a_request_error_not_a_fallback(synopsis):
+    small, _ = _uncovered_with_superset(synopsis)
+    with obs.session(ledger=False) as sess:
+        engine = QueryEngine(synopsis)
+        with MarginalServer(engine, port=0) as server:
+            client = QueryClient(server.url)
+            with pytest.raises(RemoteQueryError) as caught:
+                client.marginal(small, method="residual")
+            with pytest.raises(RemoteQueryError) as batch:
+                client.batch([small, small[:2] + (5,)], method="residual")
+        fallbacks = sess.metrics.counter("serve.solve.fallback")
+    assert caught.value.status == 400
+    assert caught.value.error_type == DimensionError.__name__
+    assert "binary-only" in str(caught.value)
+    assert batch.value.status == 400
+    stats = engine.stats()
+    assert stats["paths"][PATH_ERROR] >= 1
+    assert stats["solve"]["fallbacks"] == 0
+    assert fallbacks == 0

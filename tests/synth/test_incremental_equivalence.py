@@ -20,19 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.marginals import AttrSet, MarginalTable
 from repro.synth import Synthesizer
 from repro.synth.synthesizer import _L1_SLACK, _view_specs, domain_of
 
 
-class _View:
-    def __init__(self, attrs, arities, counts):
-        self.attrs = tuple(attrs)
-        self.arities = tuple(arities)
-        self.counts = np.asarray(counts, dtype=np.float64)
-
-
 class _Synopsis:
-    """Duck-typed synopsis: arities, views and a total count."""
+    """Minimal synopsis: arities, views and a total count."""
 
     epsilon = None
 
@@ -52,7 +46,7 @@ def _synopsis(arities, view_attrs, seed):
         size = math.prod(view_arities)
         counts = rng.integers(0, 20, size) * (rng.random(size) < 0.8)
         counts[rng.integers(size)] += 1  # never an all-zero view
-        views.append(_View(attrs, view_arities, counts))
+        views.append(MarginalTable(AttrSet(attrs, arities=view_arities), counts))
     return _Synopsis(arities, views)
 
 
@@ -107,7 +101,7 @@ def _update_view(records, spec, n, alpha, rng):
 
 def oracle_fit(synopsis, num_records, rounds, alpha, min_alpha, seed):
     domain = domain_of(synopsis)
-    specs = _view_specs(synopsis, domain)
+    specs = _view_specs(synopsis)
     if num_records is None:
         num_records = int(round(float(synopsis.total_count())))
     n = int(num_records)
@@ -234,7 +228,7 @@ def test_uint8_and_uint16_code_widths(num_records):
 def test_view_over_65536_cells_uses_int64_codes():
     # 50 * 50 * 30 = 75000 cells: too many for uint16 codes
     synopsis = _synopsis((50, 50, 30, 4), [(0, 1, 2), (2, 3)], seed=6)
-    specs = _view_specs(synopsis, domain_of(synopsis))
+    specs = _view_specs(synopsis)
     assert specs[0].dtype == np.int64
     assert specs[1].dtype == np.uint8
     meta = assert_equivalent(synopsis, num_records=20_000, rounds=6, seed=8)

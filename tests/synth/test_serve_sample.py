@@ -5,11 +5,11 @@ import pytest
 
 from repro.categorical.dataset import CategoricalDataset
 from repro.categorical.priview import CategoricalPriView
-from repro.categorical.table import CategoricalMarginalTable
 from repro.cli import main as cli_main
 from repro.core.serialization import save_synopsis
 from repro.exceptions import QueryError, RemoteQueryError
 from repro.marginals.domain import Attribute, Domain
+from repro.marginals.table import MarginalTable
 from repro.serve import MarginalServer, QueryClient
 from repro.serve.engine import MAX_SAMPLE_RECORDS, QueryEngine
 
@@ -55,7 +55,7 @@ class TestEngineSample:
     def test_mixed_source_marginal_via_engine(self, cat_synopsis):
         with QueryEngine(cat_synopsis) as engine:
             answer = engine.answer((0, 2))
-        assert isinstance(answer.table, CategoricalMarginalTable)
+        assert isinstance(answer.table, MarginalTable)
         assert answer.table.arities == (4, 2)
 
     def test_attached_engine_does_not_recurse(self, cat_synopsis):
@@ -98,7 +98,7 @@ class TestHttpSample:
 
     def test_marginal_decodes_categorical(self, client):
         table = client.marginal_table((0, 1))
-        assert isinstance(table, CategoricalMarginalTable)
+        assert isinstance(table, MarginalTable)
         assert table.arities == (4, 3)
 
     def test_bad_request_rejected(self, client):
