@@ -24,7 +24,7 @@ import numpy as np
 from repro import obs
 from repro.core.priview import PriView
 from repro.covering.repository import construct_design
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 N = 1_000_000
 D = 64
@@ -33,7 +33,7 @@ REPEATS = 3
 MIN_SPEEDUP = 5.0
 
 
-def _dataset() -> BinaryDataset:
+def _dataset() -> Dataset:
     """Correlated N=1M, d=64 dataset, built in row chunks to keep the
     float temporaries small."""
     rng = np.random.default_rng(20140622)
@@ -46,7 +46,7 @@ def _dataset() -> BinaryDataset:
         rows.append(
             (rng.random((stop - start, D)) < profiles[types]).astype(np.uint8)
         )
-    return BinaryDataset(np.concatenate(rows), name="bench-fit")
+    return Dataset(np.concatenate(rows), name="bench-fit")
 
 
 def _time_fits(make_mechanism, dataset, repeats=REPEATS):

@@ -29,8 +29,8 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
+from repro.core.priview import PriView
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Domain
 from repro.synth import RecordSampler, Synthesizer
 
@@ -55,11 +55,11 @@ def _mean_l1_over_pairs(pairs, dataset, lookup, n):
 
 def test_bench_synth_export(scale, bench_rng):
     domain = Domain.from_arities(ARITIES)
-    dataset = CategoricalDataset.random(N, domain, rng=bench_rng)
+    dataset = Dataset.random(N, domain, rng=bench_rng)
 
     with obs.session() as sess:
         fit_start = perf_counter()
-        synopsis = CategoricalPriView(epsilon=EPSILON, seed=20140622).fit(
+        synopsis = PriView(epsilon=EPSILON, seed=20140622).fit(
             dataset
         )
         fit_s = perf_counter() - fit_start
@@ -81,7 +81,7 @@ def test_bench_synth_export(scale, bench_rng):
                 "synth.rounds_reverted"
             ),
         }
-    fit_row = audit["CategoricalPriView.fit"]
+    fit_row = audit["PriView.fit"]
     synth_row = audit["Synthesizer.fit"]
     assert fit_row.spent_max == EPSILON
     # the acceptance bar: synthesis spends exactly zero epsilon

@@ -19,7 +19,8 @@ Section 4.7 sketches the changes, all implemented in
 import numpy as np
 
 from repro.analysis.ell_selection import recommended_cells_per_view
-from repro.categorical import CategoricalDataset, CategoricalPriView
+from repro.core.priview import PriView
+from repro.marginals.dataset import Dataset
 
 QUESTIONS = {
     "age_band": 5,
@@ -33,7 +34,7 @@ EPSILON = 1.0
 RECORDS = 120_000
 
 
-def synthesize_survey(rng: np.random.Generator) -> CategoricalDataset:
+def synthesize_survey(rng: np.random.Generator) -> Dataset:
     """Latent 'lifestyle' classes induce realistic cross-correlations."""
     arities = tuple(QUESTIONS.values())
     lifestyle = rng.integers(0, 4, RECORDS)
@@ -42,7 +43,7 @@ def synthesize_survey(rng: np.random.Generator) -> CategoricalDataset:
         prefs = rng.dirichlet(np.ones(arity) * 0.8, size=4)
         cdf = prefs[lifestyle].cumsum(axis=1)
         columns.append((rng.random((RECORDS, 1)) > cdf[:, :-1]).sum(axis=1))
-    return CategoricalDataset(
+    return Dataset(
         np.stack(columns, axis=1), arities, name="health-survey"
     )
 
@@ -60,7 +61,7 @@ def main() -> None:
         f"{low}..{high} cells per view"
     )
 
-    synopsis = CategoricalPriView(EPSILON, seed=3).fit(dataset)
+    synopsis = PriView(EPSILON, seed=3).fit(dataset)
     print(f"published {synopsis.num_views} views:")
     for attrs in synopsis.metadata["view_attrs"]:
         import math

@@ -5,7 +5,7 @@ Run from the repository root::
     python scripts/check_fit_speedup.py [--repeats 3] [--min-speedup 3.0]
 
 Times marginal extraction on a synthetic d=32, N=200k dataset over the
-bundled C_3(8, d=32) design — ``BinaryDataset.marginal`` (uint8 gather
+bundled C_3(8, d=32) design — ``Dataset.marginal`` (uint8 gather
 + bincount) vs. ``PackedDataset.marginal`` (bit-sliced popcount) — and
 exits non-zero unless the packed kernel is at least ``--min-speedup``
 times faster.  Extraction is the gated quantity because it is what the
@@ -33,17 +33,17 @@ import numpy as np
 
 from repro.core.priview import PriView
 from repro.covering.repository import best_design
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 N = 200_000
 D = 32
 
 
-def make_dataset() -> BinaryDataset:
+def make_dataset() -> Dataset:
     rng = np.random.default_rng(0)
     profiles = rng.random((4, D)) * 0.6
     types = rng.integers(0, 4, N)
-    return BinaryDataset(
+    return Dataset(
         (rng.random((N, D)) < profiles[types]).astype(np.uint8), name="smoke"
     )
 

@@ -44,7 +44,7 @@ from repro.core.priview import PriView
 from repro.core.serialization import save_synopsis
 from repro.covering.repository import best_design
 from repro.exceptions import RemoteQueryError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.obs import propagation
 from repro.obs.exporters import read_metrics_snapshots
 from repro.obs.prometheus import histogram_quantile, parse_prometheus
@@ -85,7 +85,7 @@ def main() -> int:
     data = (rng.random((4000, 10)) < 0.3).astype(np.uint8)
     design = best_design(10, 4, 2)
     synopsis = PriView(args.epsilon, design=design, seed=3).fit(
-        BinaryDataset(data)
+        Dataset(data)
     )
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -31,7 +31,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from repro.core.priview import PriView
 from repro.covering.repository import best_design
 from repro.exceptions import QueryError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.serve import QueryClient, serve_store
 from repro.store import SynopsisStore, artifacts
 
@@ -48,7 +48,7 @@ def fit(d: int, seed: int, epsilon: float):
     rng = np.random.default_rng(900 + seed)
     data = (rng.random((3000, d)) < 0.3).astype(np.uint8)
     design = best_design(d, 4, 2)
-    return PriView(epsilon, design=design, seed=seed).fit(BinaryDataset(data))
+    return PriView(epsilon, design=design, seed=seed).fit(Dataset(data))
 
 
 def main() -> int:

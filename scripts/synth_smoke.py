@@ -28,9 +28,9 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
+from repro.core.priview import PriView
 from repro.core.serialization import save_synopsis
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Attribute, Domain
 from repro.serve import QueryClient, serve_store
 from repro.store import SynopsisStore
@@ -61,11 +61,11 @@ def main() -> int:
         Attribute("health", 3, labels=("poor", "fair", "good")),
     ))
     rng = np.random.default_rng(2014)
-    dataset = CategoricalDataset.random(args.records, domain, rng=rng)
+    dataset = Dataset.random(args.records, domain, rng=rng)
 
     print(f"fitting a mixed d={domain.num_attributes} synopsis ...")
     with obs.session() as sess:
-        synopsis = CategoricalPriView(args.epsilon, seed=7).fit(dataset)
+        synopsis = PriView(args.epsilon, seed=7).fit(dataset)
         print("synthesizing ...")
         records = Synthesizer(seed=11).fit(synopsis)
         again = Synthesizer(seed=11).fit(synopsis)
@@ -96,7 +96,7 @@ def main() -> int:
         if synth_row else "ledger has a Synthesizer.fit scope",
         failures,
     )
-    fit_row = audit.get("CategoricalPriView.fit")
+    fit_row = audit.get("PriView.fit")
     check(
         fit_row is not None and fit_row.spent_max == args.epsilon,
         f"fit spent its configured epsilon ({args.epsilon:g})",

@@ -7,9 +7,9 @@ contingency table can be reconstructed accurately.
 Quickstart
 ----------
 >>> import numpy as np
->>> from repro import BinaryDataset, PriView
+>>> from repro import Dataset, PriView
 >>> data = (np.random.default_rng(0).random((5000, 16)) < 0.3)
->>> dataset = BinaryDataset(data.astype(np.uint8))
+>>> dataset = Dataset(data.astype(np.uint8))
 >>> synopsis = PriView(epsilon=1.0, seed=1).fit(dataset)
 >>> table = synopsis.marginal((0, 3, 7, 11))  # private 4-way marginal
 
@@ -66,7 +66,7 @@ from repro.kernels import PackedDataset, fit_defaults, set_fit_defaults
 from repro.marginals import (
     AttrSet,
     Attribute,
-    BinaryDataset,
+    Dataset,
     Domain,
     FullContingencyTable,
     MarginalTable,
@@ -83,7 +83,7 @@ __all__ = [
     "CoveringDesign",
     "AttrSet",
     "Attribute",
-    "BinaryDataset",
+    "Dataset",
     "Domain",
     "FullContingencyTable",
     "MarginalSource",

@@ -2,7 +2,7 @@
 
 All baselines implement a common protocol: construct with the privacy
 parameters, call :meth:`fit` with a :class:`~repro.marginals.dataset.
-BinaryDataset`, then ask for marginals with :meth:`marginal`.
+Dataset`, then ask for marginals with :meth:`marginal`.
 
 A note on lazy release: Direct, Fourier and the learning-based method
 conceptually publish a noisy table / coefficient for *every* k-way

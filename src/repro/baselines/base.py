@@ -1,11 +1,13 @@
 """The common mechanism protocol shared by all baselines and PriView.
 
 Two structural protocols define the public API every consumer codes
-against (no ``isinstance`` special-cases anywhere in ``repro``):
+against (answering never special-cases a type; only synopsis metadata,
+such as the covering design or the domain, is read off a
+:class:`~repro.core.synopsis.PriViewSynopsis` by type):
 
 * :class:`MarginalSource` — anything answering ``marginal(attrs)``:
   a fitted baseline, a :class:`~repro.core.synopsis.PriViewSynopsis`,
-  a raw :class:`~repro.marginals.dataset.BinaryDataset`, or the
+  a raw :class:`~repro.marginals.dataset.Dataset`, or the
   bit-sliced :class:`~repro.kernels.PackedDataset`.
 * :class:`Mechanism` — a private mechanism: ``name``, ``epsilon`` and
   ``fit(dataset)`` returning a :class:`MarginalSource` (baselines
@@ -27,7 +29,7 @@ import numpy as np
 from repro import obs
 from repro.exceptions import PrivacyBudgetError, ReconstructionError
 from repro.marginals.attrs import AttrSet
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 
 
@@ -58,7 +60,7 @@ class Mechanism(Protocol):
     name: str
     epsilon: float
 
-    def fit(self, dataset: BinaryDataset): ...
+    def fit(self, dataset: Dataset): ...
 
 
 class MarginalReleaseMechanism(abc.ABC):
@@ -79,7 +81,7 @@ class MarginalReleaseMechanism(abc.ABC):
         self._rng = np.random.default_rng(seed)
         self._fitted = False
 
-    def fit(self, dataset: BinaryDataset) -> "MarginalReleaseMechanism":
+    def fit(self, dataset: Dataset) -> "MarginalReleaseMechanism":
         """Consume the private dataset; returns self for chaining.
 
         Under an observability session the fit is wrapped in a span and
@@ -128,7 +130,7 @@ class MarginalReleaseMechanism(abc.ABC):
         return self._marginal(AttrSet(attrs, num_attributes=self._num_attributes))
 
     @abc.abstractmethod
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         """Mechanism-specific fitting."""
 
     @abc.abstractmethod

@@ -22,7 +22,7 @@ import itertools
 
 from repro.baselines.base import MarginalReleaseMechanism
 from repro.exceptions import DimensionError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.queries import all_attribute_subsets
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import noisy_marginal
@@ -106,7 +106,7 @@ class DataCubeMethod(MarginalReleaseMechanism):
         super().__init__(epsilon, seed)
         self.k = int(k)
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         selection = select_cuboids(dataset.num_attributes, self.k)
         w = len(selection)
         self._cuboids = [

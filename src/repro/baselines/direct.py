@@ -16,7 +16,7 @@ import math
 from repro import obs
 from repro.baselines.base import MarginalReleaseMechanism
 from repro.core.nonnegativity import apply_nonnegativity
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import laplace_variance, noisy_marginal
 
@@ -48,7 +48,7 @@ class DirectMethod(MarginalReleaseMechanism):
         self.k = int(k)
         self.nonnegativity = nonnegativity
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         self._dataset = dataset
         self._num_marginals = math.comb(dataset.num_attributes, self.k)
         self._cache: dict[tuple[int, ...], MarginalTable] = {}

@@ -15,7 +15,7 @@ import math
 from repro.baselines.base import MarginalReleaseMechanism
 from repro.core.nonnegativity import apply_nonnegativity
 from repro.marginals.contingency import FullContingencyTable
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import laplace_variance, noisy_counts
 
@@ -42,7 +42,7 @@ class FlatMethod(MarginalReleaseMechanism):
         super().__init__(epsilon, seed)
         self.nonnegativity = nonnegativity
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         table = FullContingencyTable.from_dataset(dataset)
         table.counts = noisy_counts(table.counts, self.epsilon, 1.0, self._rng)
         self._table = table

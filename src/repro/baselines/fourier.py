@@ -34,7 +34,7 @@ from repro.baselines.base import MarginalReleaseMechanism
 from repro.core.nonnegativity import apply_nonnegativity
 from repro.exceptions import DimensionError, ReconstructionError
 from repro.marginals.contingency import FullContingencyTable
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import laplace_variance, noisy_counts
 
@@ -90,7 +90,7 @@ class FourierMethod(MarginalReleaseMechanism):
         self.k_max = int(k_max)
         self.nonnegativity = nonnegativity
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         self._dataset = dataset
         self._m = fourier_coefficient_count(dataset.num_attributes, self.k_max)
         self._cache: dict[tuple[int, ...], MarginalTable] = {}
@@ -144,7 +144,7 @@ class FourierLPMethod(MarginalReleaseMechanism):
         super().__init__(epsilon, seed)
         self.k_max = int(k_max)
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         d = dataset.num_attributes
         full = FullContingencyTable.from_dataset(dataset)
         theta = walsh_hadamard(full.counts)

@@ -27,7 +27,7 @@ import numpy as np
 from repro import obs
 from repro.baselines.base import MarginalReleaseMechanism
 from repro.baselines.fourier import fourier_coefficient_count, walsh_hadamard
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 
 
@@ -67,7 +67,7 @@ class LearningMethod(MarginalReleaseMechanism):
         self.gamma = float(gamma)
         self.degree = degree_for_gamma(self.k, self.gamma, constant)
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         self._dataset = dataset
         self._m = fourier_coefficient_count(dataset.num_attributes, self.degree)
         self._cache: dict[tuple[int, ...], MarginalTable] = {}

@@ -33,7 +33,7 @@ from repro import obs
 from repro.baselines.base import MarginalReleaseMechanism
 from repro.exceptions import ReconstructionError
 from repro.marginals.contingency import FullContingencyTable
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.projection import projection_map
 from repro.marginals.table import MarginalTable
 
@@ -139,7 +139,7 @@ class MatrixMechanism(MarginalReleaseMechanism):
         self.k = int(k)
         self.strategy_name = strategy
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         d = dataset.num_attributes
         workload = marginal_workload_matrix(d, self.k)
         a = strategy_matrix(self.strategy_name, d, self.k, workload)

@@ -29,7 +29,7 @@ import numpy as np
 from repro import obs
 from repro.baselines.base import MarginalReleaseMechanism
 from repro.marginals.contingency import FullContingencyTable
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.projection import projection_map
 from repro.marginals.queries import all_attribute_subsets
 from repro.marginals.table import MarginalTable
@@ -78,7 +78,7 @@ class MWEMMethod(MarginalReleaseMechanism):
         self.replays = replays
 
     # ------------------------------------------------------------------
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         d = dataset.num_attributes
         n = max(float(dataset.num_records), 1.0)
         rounds = self.rounds or default_rounds(d)

@@ -8,7 +8,7 @@ about the data — the paper plots it as the floor of meaningfulness.
 from __future__ import annotations
 
 from repro.baselines.base import MarginalReleaseMechanism
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import noisy_counts
 
@@ -18,7 +18,7 @@ class UniformMethod(MarginalReleaseMechanism):
 
     name = "Uniform"
 
-    def _fit(self, dataset: BinaryDataset) -> None:
+    def _fit(self, dataset: Dataset) -> None:
         import numpy as np
 
         # Spend the budget on the one number we use: the total count.

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from repro.categorical.dataset import CategoricalDataset
+from repro.marginals.dataset import Dataset
 from repro.exceptions import PrivacyBudgetError
 from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
@@ -29,7 +29,7 @@ class CategoricalDirect:
         self.k = int(k)
         self._rng = np.random.default_rng(seed)
 
-    def fit(self, dataset: CategoricalDataset) -> "CategoricalDirect":
+    def fit(self, dataset: Dataset) -> "CategoricalDirect":
         self._dataset = dataset
         self._num_marginals = math.comb(dataset.num_attributes, self.k)
         return self
@@ -58,7 +58,7 @@ class CategoricalUniform:
         self.epsilon = float(epsilon)
         self._rng = np.random.default_rng(seed)
 
-    def fit(self, dataset: CategoricalDataset) -> "CategoricalUniform":
+    def fit(self, dataset: Dataset) -> "CategoricalUniform":
         self._arities = dataset.arities
         noisy = noisy_counts(
             np.array([float(dataset.num_records)]),

@@ -11,6 +11,13 @@ Typical use::
 scale ``w / epsilon`` per view, by sequential composition over the
 ``w`` views); everything afterwards is post-processing and free.
 
+The same mechanism serves both domain kinds (Section 4.7: the pipeline
+"can be applied directly" to categorical attributes).  Only view
+selection depends on the dataset it is given: a covering design of
+``view_width``-attribute blocks for a binary dataset, greedy
+cell-budget views (:func:`~repro.categorical.views.select_categorical_views`)
+for a dataset with ``arities``.
+
 The fit hot path (one exact ℓ-way marginal per view — the only step
 touching raw records) can run on the bit-sliced popcount kernels and
 a worker pool from :mod:`repro.kernels`::
@@ -33,6 +40,7 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
+from repro.categorical.views import select_categorical_views
 from repro.core.consistency import make_consistent
 from repro.core.nonnegativity import DEFAULT_THETA, apply_nonnegativity
 from repro.core.synopsis import PriViewSynopsis
@@ -47,7 +55,7 @@ from repro.exceptions import PrivacyBudgetError
 from repro.kernels import config as kernels_config
 from repro.kernels.fit import generate_noisy_views as _parallel_noisy_views
 from repro.kernels.packed import as_packed
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import noisy_marginal
 
@@ -61,13 +69,18 @@ class PriView:
         Total privacy budget; ``float('inf')`` gives the paper's
         noise-free ``C*`` variants.
     view_width:
-        The ``l`` of the covering design (paper recommends 8).
+        The ``l`` of the covering design (paper recommends 8); binary
+        datasets only.
     strength:
         Covering strength ``t``; ``None`` picks it with the Section 4.5
-        heuristic from a noisy record count.
+        heuristic from a noisy record count.  Binary datasets only.
     design:
-        Explicit covering design, overriding automatic selection —
-        used by the experiments that sweep designs.
+        Explicit views, overriding automatic selection: a covering
+        design (used by the experiments that sweep designs) or a list
+        of attribute tuples.
+    max_cells:
+        Per-view cell budget for datasets with arities; defaults to the
+        Section 4.7 guideline.
     nonnegativity:
         ``"ripple"`` (default), ``"simple"``, ``"global"`` or
         ``"none"``.
@@ -105,7 +118,8 @@ class PriView:
         epsilon: float,
         view_width: int = DEFAULT_VIEW_WIDTH,
         strength: int | None = None,
-        design: CoveringDesign | None = None,
+        design: CoveringDesign | list[tuple[int, ...]] | None = None,
+        max_cells: int | None = None,
         nonnegativity: str = "ripple",
         nonneg_rounds: int = 1,
         theta: float = DEFAULT_THETA,
@@ -122,6 +136,7 @@ class PriView:
         self.view_width = view_width
         self.strength = strength
         self.design = design
+        self.max_cells = max_cells
         self.nonnegativity = nonnegativity
         self.nonneg_rounds = nonneg_rounds
         self.theta = theta
@@ -133,10 +148,21 @@ class PriView:
         self._seed_seq = np.random.SeedSequence(seed)
 
     # ------------------------------------------------------------------
-    def choose_design(self, dataset: BinaryDataset) -> CoveringDesign:
-        """The covering design ``fit`` will use for ``dataset``."""
+    def choose_design(
+        self, dataset: Dataset
+    ) -> CoveringDesign | list[tuple[int, ...]]:
+        """The views ``fit`` will use for ``dataset``.
+
+        A covering design for a binary dataset (its strength chosen
+        from a noisy record count unless set), greedy cell-budget
+        views under ``max_cells`` for one with arities.
+        """
         if self.design is not None:
             return self.design
+        if dataset.arities is not None:
+            return select_categorical_views(
+                dataset.arities, max_cells=self.max_cells, rng=self._rng
+            )
         n_estimate = (
             dataset.num_records
             if np.isinf(self.epsilon)
@@ -151,16 +177,17 @@ class PriView:
         )
 
     def generate_noisy_views(
-        self, dataset: BinaryDataset, design: CoveringDesign
+        self, dataset: Dataset, design: CoveringDesign | list[tuple[int, ...]]
     ) -> list[MarginalTable]:
         """Step 2: the only step that touches the private data.
 
-        With ``packed`` the exact marginals come off the bit-sliced
+        With ``packed`` the exact marginals come off the bit-plane
         popcount kernels (bitwise-identical counts); with ``workers``
         set, views are fanned out with per-view child noise streams
         (see the class docstring for the determinism contract).
         """
-        w = design.num_blocks
+        blocks = _blocks(design)
+        w = len(blocks)
         source = as_packed(dataset) if self.packed else dataset
         if self.workers is None:
             obs.set_gauge("fit.workers", 1)
@@ -168,11 +195,11 @@ class PriView:
                 noisy_marginal(
                     source.marginal(block), self.epsilon, sensitivity=w, rng=self._rng
                 )
-                for block in design.blocks
+                for block in blocks
             ]
         return _parallel_noisy_views(
             source,
-            design.blocks,
+            blocks,
             self.epsilon,
             sensitivity=w,
             root_seed=self._seed_seq,
@@ -200,25 +227,29 @@ class PriView:
                     make_consistent(views)
         return views
 
-    def fit(self, dataset: BinaryDataset) -> PriViewSynopsis:
+    def fit(self, dataset: Dataset) -> PriViewSynopsis:
         """Run the full pipeline and return the private synopsis.
 
-        Under an observability session the fit is traced stage by stage
-        and every noise draw lands in a strict ``PriView.fit`` budget
-        scope.  The scope's configured total is ``epsilon`` plus — when
-        the design is chosen automatically under finite budget — the
-        paper's ``RECORD_COUNT_EPSILON`` sliver for the noisy record
-        count, so the ledger audit balances exactly.
+        Accepts a :class:`~repro.marginals.dataset.Dataset` or its
+        :class:`~repro.kernels.PackedDataset` form, of either domain
+        kind.  Under an observability session the fit is traced stage
+        by stage and every noise draw lands in a strict ``PriView.fit``
+        budget scope.  The scope's configured total is ``epsilon`` plus
+        — when a covering design is chosen automatically under finite
+        budget — the paper's ``RECORD_COUNT_EPSILON`` sliver for the
+        noisy record count, so the ledger audit balances exactly.
         """
+        binary = dataset.arities is None
         configured = self.epsilon
-        if self.design is None and not np.isinf(self.epsilon):
+        if binary and self.design is None and not np.isinf(self.epsilon):
             configured = self.epsilon + RECORD_COUNT_EPSILON
         fit_start = perf_counter()
         with obs.span("priview.fit"), obs.budget_scope("PriView.fit", configured):
             with obs.span("choose_design"):
                 design = self.choose_design(dataset)
-            obs.set_gauge("priview.design_blocks", design.num_blocks)
-            obs.set_gauge("priview.design_width", design.block_size)
+            blocks = _blocks(design)
+            obs.set_gauge("priview.design_blocks", len(blocks))
+            obs.set_gauge("priview.design_width", max(map(len, blocks), default=0))
             obs.set_gauge("fit.packed", int(self.packed))
             with obs.span("noisy_views"):
                 views = self.generate_noisy_views(dataset, design)
@@ -229,15 +260,28 @@ class PriView:
                 perf_counter() - fit_start,
                 {"mechanism": "priview"},
             )
-        return PriViewSynopsis(
-            design=design,
-            views=views,
-            epsilon=self.epsilon,
-            num_attributes=dataset.num_attributes,
-            domain=getattr(dataset, "domain", None),
-            metadata={
+        if binary:
+            metadata = {
                 "nonnegativity": self.nonnegativity,
                 "nonneg_rounds": self.nonneg_rounds,
                 "theta": self.theta,
-            },
+            }
+        else:
+            # no covering design records a categorical fit's views
+            metadata = {"view_attrs": blocks, "theta": self.theta}
+        return PriViewSynopsis(
+            views=views,
+            epsilon=self.epsilon,
+            num_attributes=dataset.num_attributes,
+            metadata=metadata,
+            domain=dataset.domain,
+            design=design if isinstance(design, CoveringDesign) else None,
+            arities=dataset.arities,
         )
+
+
+def _blocks(design) -> list[tuple[int, ...]]:
+    """The view attribute sets of a covering design or an explicit list."""
+    if isinstance(design, CoveringDesign):
+        return list(design.blocks)
+    return [tuple(b) for b in design]

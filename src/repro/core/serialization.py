@@ -110,15 +110,15 @@ def payload_digest(views, domain=None, kind: str = "priview") -> str:
 def save_synopsis(synopsis, path: str | os.PathLike) -> pathlib.Path:
     """Write a synopsis to ``path`` (compressed .npz).
 
-    Accepts a binary :class:`PriViewSynopsis` or a
-    :class:`~repro.categorical.priview.CategoricalSynopsis`; the
-    header's ``kind`` field records which, and the optional ``domain``
-    schema (covered by the payload digest) rides along for both.
+    The header's ``kind`` field records the domain kind — ``priview``
+    for binary attributes, ``categorical`` for a synopsis with
+    arities — and the optional ``domain`` schema (covered by the
+    payload digest) rides along for both.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    domain = getattr(synopsis, "domain", None)
-    kind = "priview" if hasattr(synopsis, "design") else "categorical"
+    domain = synopsis.domain
+    kind = "priview" if synopsis.arities is None else "categorical"
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -130,9 +130,9 @@ def save_synopsis(synopsis, path: str | os.PathLike) -> pathlib.Path:
         "domain": None if domain is None else domain.to_json(),
         "payload_sha256": payload_digest(synopsis.views, domain, kind),
     }
-    if kind == "priview":
+    if synopsis.design is not None:
         header["design"] = synopsis.design.to_text()
-    else:
+    if synopsis.arities is not None:
         header["arities"] = [int(b) for b in synopsis.arities]
         header["view_arities"] = [
             [int(b) for b in v.arities] for v in synopsis.views
@@ -185,9 +185,9 @@ def _parse_domain(header: dict, path: pathlib.Path) -> Domain | None:
 def load_synopsis(path: str | os.PathLike, verify: bool = True):
     """Load a synopsis written by :func:`save_synopsis`.
 
-    Returns a :class:`PriViewSynopsis` or — for files whose header
-    says ``kind: categorical`` — a
-    :class:`~repro.categorical.priview.CategoricalSynopsis`.  Raises
+    Returns a :class:`PriViewSynopsis` of the kind the header
+    records (``priview`` or ``categorical``, which carries the
+    arities).  Raises
     :class:`~repro.exceptions.SynopsisFormatError` for files from a
     newer library, and
     :class:`~repro.exceptions.SynopsisIntegrityError` when the file
@@ -221,32 +221,20 @@ def load_synopsis(path: str | os.PathLike, verify: bool = True):
                 header["view_attrs"], view_arities, counts, metas
             )
         ]
-        if kind == "categorical":
-            # Imported lazily: repro.categorical itself imports the
-            # core at module level, so the reverse edge must not exist
-            # at import time.
-            from repro.categorical.priview import CategoricalSynopsis
-
-            synopsis = CategoricalSynopsis(
-                views=views,
-                arities=tuple(header["arities"]),
-                epsilon=float(header["epsilon"]),
-                metadata=header.get("metadata", {}),
-                domain=domain,
-            )
-        elif kind == "priview":
-            synopsis = PriViewSynopsis(
-                design=CoveringDesign.from_text(header["design"]),
-                views=views,
-                epsilon=float(header["epsilon"]),
-                num_attributes=int(header["num_attributes"]),
-                metadata=header.get("metadata", {}),
-                domain=domain,
-            )
-        else:
+        if kind not in ("priview", "categorical"):
             raise SynopsisIntegrityError(
                 f"corrupt synopsis {path}: unknown synopsis kind {kind!r}"
             )
+        design = header.get("design")
+        synopsis = PriViewSynopsis(
+            views=views,
+            epsilon=float(header["epsilon"]),
+            num_attributes=int(header["num_attributes"]),
+            metadata=header.get("metadata", {}),
+            domain=domain,
+            design=None if design is None else CoveringDesign.from_text(design),
+            arities=header["arities"] if kind == "categorical" else None,
+        )
     except ReproError:
         raise
     except (

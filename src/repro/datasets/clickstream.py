@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DatasetError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 #: Published record counts of the originals.
 KOSARAK_RECORDS = 912_627
@@ -41,7 +41,7 @@ def clickstream_dataset(
     boost_range: tuple[float, float] = (3.0, 10.0),
     rng: np.random.Generator | None = None,
     name: str = "clickstream",
-) -> BinaryDataset:
+) -> Dataset:
     """Generate a correlated, heavy-tailed binary click-stream dataset.
 
     Parameters
@@ -89,13 +89,13 @@ def clickstream_dataset(
     )
     probs = 1.0 - np.exp(-activity[:, None] * weights[types])
     data = (rng.random((num_records, num_attributes)) < probs).astype(np.uint8)
-    return BinaryDataset(data, name=name)
+    return Dataset(data, name=name)
 
 
 def kosarak_like(
     num_records: int = KOSARAK_RECORDS,
     rng: np.random.Generator | None = None,
-) -> BinaryDataset:
+) -> Dataset:
     """A d=32 stand-in for the Kosarak top-32-pages dataset."""
     return clickstream_dataset(
         num_records,
@@ -111,7 +111,7 @@ def kosarak_like(
 def aol_like(
     num_records: int = AOL_RECORDS,
     rng: np.random.Generator | None = None,
-) -> BinaryDataset:
+) -> Dataset:
     """A d=45 stand-in for the AOL 45-category dataset.
 
     Category generalisation makes AOL rows denser than raw click data,
@@ -131,7 +131,7 @@ def aol_like(
 def msnbc_like(
     num_records: int = MSNBC_RECORDS,
     rng: np.random.Generator | None = None,
-) -> BinaryDataset:
+) -> Dataset:
     """A d=9 stand-in for the preprocessed MSNBC dataset.
 
     The real MSNBC category data shows mainly pairwise structure (the

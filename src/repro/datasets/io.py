@@ -8,10 +8,10 @@ import pathlib
 import numpy as np
 
 from repro.exceptions import DatasetError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
-def save_dataset(dataset: BinaryDataset, path: str | os.PathLike) -> pathlib.Path:
+def save_dataset(dataset: Dataset, path: str | os.PathLike) -> pathlib.Path:
     """Write a dataset to ``path`` (.npz, bit-packed)."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -25,7 +25,7 @@ def save_dataset(dataset: BinaryDataset, path: str | os.PathLike) -> pathlib.Pat
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def load_dataset(path: str | os.PathLike) -> BinaryDataset:
+def load_dataset(path: str | os.PathLike) -> Dataset:
     """Load a dataset written by :func:`save_dataset`."""
     path = pathlib.Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
@@ -37,4 +37,4 @@ def load_dataset(path: str | os.PathLike) -> BinaryDataset:
         d = int(archive["num_attributes"])
         name = str(archive["name"])
     data = np.unpackbits(packed, axis=1)[:, :d]
-    return BinaryDataset(data, name=name)
+    return Dataset(data, name=name)

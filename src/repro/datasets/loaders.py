@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.datasets import clickstream
 from repro.exceptions import DatasetError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 #: filename conventions checked inside REPRO_DATA_DIR
 _FILENAMES = {
@@ -31,7 +31,7 @@ def load_fimi_transactions(
     path: str | os.PathLike,
     num_attributes: int,
     name: str = "fimi",
-) -> BinaryDataset:
+) -> Dataset:
     """Parse a FIMI ``.dat`` file, keeping the top-N most frequent items.
 
     Each line is a whitespace-separated list of item ids.  The paper's
@@ -57,14 +57,14 @@ def load_fimi_transactions(
             idx = remap.get(item)
             if idx is not None:
                 rows[r, idx] = 1
-    return BinaryDataset(rows, name=name)
+    return Dataset(rows, name=name)
 
 
 def load_msnbc_sequences(
     path: str | os.PathLike,
     num_attributes: int = 9,
     name: str = "msnbc",
-) -> BinaryDataset:
+) -> Dataset:
     """Parse the UCI MSNBC sequence file into binary page-visit rows.
 
     The UCI file lists, per user line, the categories (1..17) of
@@ -92,7 +92,7 @@ def load_msnbc_sequences(
             idx = remap.get(cat)
             if idx is not None:
                 rows[r, idx] = 1
-    return BinaryDataset(rows, name=name)
+    return Dataset(rows, name=name)
 
 
 def load_or_synthesize(
@@ -100,7 +100,7 @@ def load_or_synthesize(
     data_dir: str | os.PathLike | None = None,
     num_records: int | None = None,
     rng: np.random.Generator | None = None,
-) -> BinaryDataset:
+) -> Dataset:
     """Real dataset if its file is present, synthetic stand-in otherwise.
 
     ``name`` is ``"kosarak"``, ``"aol"`` or ``"msnbc"``.  The data
@@ -122,7 +122,7 @@ def load_or_synthesize(
             else:
                 dataset = load_msnbc_sequences(path, 9, name="msnbc")
             if num_records is not None and num_records < dataset.num_records:
-                dataset = BinaryDataset(
+                dataset = Dataset(
                     dataset.data[:num_records], name=dataset.name
                 )
             return dataset

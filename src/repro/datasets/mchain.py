@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DatasetError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 #: The paper's record length.
 DEFAULT_LENGTH = 64
@@ -69,7 +69,7 @@ def markov_chain_dataset(
     num_records: int,
     length: int = DEFAULT_LENGTH,
     rng: np.random.Generator | None = None,
-) -> BinaryDataset:
+) -> Dataset:
     """Generate ``num_records`` stationary order-``i`` binary sequences.
 
     Vectorised across records: all chains advance one step per loop
@@ -97,4 +97,4 @@ def markov_chain_dataset(
         bits = (rng.random(num_records) < p1).astype(np.uint8)
         data[:, col] = bits
         states = ((states << 1) | bits) & mask
-    return BinaryDataset(data, name=f"mchain_{order}")
+    return Dataset(data, name=f"mchain_{order}")

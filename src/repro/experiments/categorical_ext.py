@@ -3,7 +3,7 @@
 Not a paper figure — Section 4.7 says evaluating the categorical
 extension "is beyond the scope of this paper".  This driver does that
 evaluation: on a correlated mixed-arity dataset it compares
-CategoricalPriView (cell-budget views per the s guideline) against the
+PriView (cell-budget views per the s guideline) against the
 categorical Direct method and the Uniform floor, at k in {2, 3, 4}.
 
 Expected shape: the same story as Figure 2 — PriView's mid-size views
@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.categorical.baselines import CategoricalDirect, CategoricalUniform
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
+from repro.core.priview import PriView
 from repro.experiments.config import get_scale
 from repro.experiments.runner import ExperimentResult, MethodResult
+from repro.marginals.dataset import Dataset
 from repro.marginals.queries import random_attribute_sets
 from repro.metrics.candlestick import candlestick
 
@@ -30,7 +30,7 @@ ARITIES = (3, 4, 2, 5, 3, 2, 4, 3, 5, 2, 3, 4, 2, 3, 4, 5)
 
 def make_dataset(
     num_records: int, rng: np.random.Generator
-) -> CategoricalDataset:
+) -> Dataset:
     """Correlated mixed-arity data from a latent-class model."""
     latent = rng.integers(0, 5, num_records)
     columns = []
@@ -38,7 +38,7 @@ def make_dataset(
         prefs = rng.dirichlet(np.ones(arity) * 0.7, size=5)
         cdf = prefs[latent].cumsum(axis=1)
         columns.append((rng.random((num_records, 1)) > cdf[:, :-1]).sum(axis=1))
-    return CategoricalDataset(
+    return Dataset(
         np.stack(columns, axis=1), ARITIES, name="categorical-ext"
     )
 
@@ -82,7 +82,7 @@ def run(scale=None, seed: int = 0, epsilons=EPSILONS, ks=KS) -> ExperimentResult
 
             add(
                 "CategoricalPriView",
-                lambda run_idx: CategoricalPriView(
+                lambda run_idx: PriView(
                     epsilon, seed=seed + run_idx
                 ).fit(dataset),
             )

@@ -15,26 +15,26 @@ import numpy as np
 from repro.datasets.loaders import load_or_synthesize
 from repro.datasets.mchain import markov_chain_dataset
 from repro.experiments.config import ExperimentScale
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 #: Fixed generation seed: experiments vary mechanism noise, not data.
 DATA_SEED = 20140622
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_clickstream(name: str, max_records: int | None) -> BinaryDataset:
+def _cached_clickstream(name: str, max_records: int | None) -> Dataset:
     rng = np.random.default_rng(DATA_SEED)
     return load_or_synthesize(name, num_records=max_records, rng=rng)
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_mchain(order: int, max_records: int | None) -> BinaryDataset:
+def _cached_mchain(order: int, max_records: int | None) -> Dataset:
     rng = np.random.default_rng(DATA_SEED + order)
     num_records = max_records or 1_000_000
     return markov_chain_dataset(order, num_records, rng=rng)
 
 
-def experiment_dataset(name: str, scale: ExperimentScale) -> BinaryDataset:
+def experiment_dataset(name: str, scale: ExperimentScale) -> Dataset:
     """``"kosarak"`` / ``"aol"`` / ``"msnbc"`` / ``"mchain_<order>"``."""
     if name.startswith("mchain_"):
         order = int(name.split("_", 1)[1])

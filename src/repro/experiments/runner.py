@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.base import MarginalSource
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.metrics.candlestick import Candlestick, candlestick
 from repro.metrics.divergence import jensen_shannon
@@ -100,7 +100,7 @@ class ExperimentResult:
 
 def evaluate_mechanism(
     make_mechanism: Callable[[int], MarginalSource],
-    dataset: BinaryDataset,
+    dataset: Dataset,
     queries: list[tuple[int, ...]],
     num_runs: int,
     metric: str = "normalized_l2",
@@ -134,7 +134,7 @@ def evaluate_mechanism(
 
 def evaluate_mechanism_metrics(
     make_mechanism: Callable[[int], MarginalSource],
-    dataset: BinaryDataset,
+    dataset: Dataset,
     queries: list[tuple[int, ...]],
     num_runs: int,
     metrics: tuple[str, ...] = ("normalized_l2",),

@@ -2,10 +2,12 @@
 
 Three ingredients (see ``docs/PERFORMANCE.md`` for the full story):
 
-* :class:`PackedDataset` — bit-sliced dataset (one uint64 word per 64
-  records per attribute) with a popcount marginal kernel that is
-  bitwise identical to ``BinaryDataset.marginal`` and roughly an
-  order of magnitude faster, streaming over chunks of records.
+* :class:`PackedDataset` — bit-plane dataset (one uint64 word per 64
+  records per bit-plane; a binary attribute is one plane, an attribute
+  of arity ``b`` is ``ceil(log2 b)``) with a transpose-histogram
+  marginal kernel that is bitwise identical to ``Dataset.marginal``
+  for both domain kinds and roughly an order of magnitude faster,
+  streaming over chunks of records.
 * :class:`ParallelExecutor` + :func:`generate_noisy_views` — fans the
   per-view work of ``PriView.fit`` out over threads or processes with
   per-view ``SeedSequence.spawn`` child streams, so the synopsis is
@@ -32,32 +34,24 @@ from repro.kernels.packed import (
     PackedDataset,
     as_packed,
     bit_histogram,
-    moebius_from_subset_counts,
     pack_columns,
+    plane_count,
     popcount_words,
     unpack_columns,
-)
-from repro.kernels.packed_cat import (
-    PackedCategoricalDataset,
-    as_packed_categorical,
-    plane_count,
 )
 from repro.kernels import indexcache
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_CHUNK_WORDS",
-    "PackedCategoricalDataset",
     "PackedDataset",
     "ParallelExecutor",
     "as_packed",
-    "as_packed_categorical",
     "bit_histogram",
     "plane_count",
     "fit_defaults",
     "generate_noisy_views",
     "indexcache",
-    "moebius_from_subset_counts",
     "pack_columns",
     "popcount_words",
     "resolve_workers",

@@ -79,7 +79,7 @@ def generate_noisy_views(
     ----------
     source:
         Anything exposing ``marginal(attrs) -> MarginalTable`` —
-        a :class:`~repro.marginals.dataset.BinaryDataset` or the
+        a :class:`~repro.marginals.dataset.Dataset` or the
         bit-sliced :class:`~repro.kernels.packed.PackedDataset`.
     blocks:
         The design's view attribute sets.

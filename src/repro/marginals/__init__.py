@@ -18,7 +18,7 @@ between tables over nested attribute sets.
 """
 
 from repro.marginals.attrs import AttrSet, as_attrs
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import (
     ATTRIBUTE_KINDS,
     Attribute,
@@ -53,7 +53,7 @@ __all__ = [
     "Domain",
     "as_attrs",
     "as_domain",
-    "BinaryDataset",
+    "Dataset",
     "MarginalTable",
     "FullContingencyTable",
     "projection_map",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.projection import projection_map
 from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
@@ -40,7 +40,7 @@ class FullContingencyTable:
         self.counts = counts
 
     @classmethod
-    def from_dataset(cls, dataset: BinaryDataset) -> "FullContingencyTable":
+    def from_dataset(cls, dataset: Dataset) -> "FullContingencyTable":
         """Count every record of ``dataset`` into its cell."""
         d = dataset.num_attributes
         if d > MAX_FULL_DIMENSIONS:

@@ -1,10 +1,15 @@
-"""Binary datasets: the ``D`` of the problem definition.
+"""Datasets: the ``D`` of the problem definition.
 
-A :class:`BinaryDataset` wraps an ``(N, d)`` matrix of 0/1 values and
-computes exact marginal tables.  Marginal extraction is the only
-primitive that touches raw records; every mechanism in this library
-goes through it (or through :class:`~repro.marginals.contingency.
-FullContingencyTable` for small ``d``).
+A :class:`Dataset` wraps an ``(N, d)`` matrix of attribute codes and
+computes exact marginal tables.  Without ``arities`` every attribute
+is binary — the paper's main setting, stored as a uint8 0/1 matrix —
+following the convention :class:`~repro.marginals.attrs.AttrSet`
+uses; with ``arities`` attribute ``j`` takes values in
+``range(arities[j])`` (the Section 4.7 extension, stored as int64
+codes).  Marginal extraction is the only primitive that touches raw
+records; every mechanism in this library goes through it (or through
+:class:`~repro.marginals.contingency.FullContingencyTable` for small
+``d``).
 """
 
 from __future__ import annotations
@@ -13,28 +18,63 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 from repro.marginals.attrs import AttrSet
+from repro.marginals.projection import strides
 from repro.marginals.table import MarginalTable
 
 
-class BinaryDataset:
-    """An ``N x d`` dataset of binary attributes.
+class Dataset:
+    """An ``N x d`` dataset; attribute ``j`` takes values in
+    ``range(arities[j])``.
 
     Parameters
     ----------
     data:
-        Array-like of shape ``(N, d)`` with values in ``{0, 1}``.
+        Array-like of shape ``(N, d)``: 0/1 values, or codes under
+        ``arities``.
+    arities:
+        Per-attribute value counts; ``None`` (the default) means every
+        attribute is binary.
     name:
         Optional human-readable name used in experiment reports.
+    domain:
+        Optional :class:`~repro.marginals.domain.Domain` schema (names,
+        kinds, bin edges) for the same attributes; its arities must
+        match.  Fitted synopses and record-level synthesis carry it
+        forward.
     """
 
-    def __init__(self, data, name: str = "dataset"):
-        arr = np.asarray(data, dtype=np.uint8)
+    def __init__(self, data, arities=None, name: str = "dataset", domain=None):
+        arr = np.asarray(data, dtype=np.uint8 if arities is None else np.int64)
         if arr.ndim != 2:
             raise DimensionError(f"data must be 2-D, got shape {arr.shape}")
-        if arr.size and arr.max() > 1:
-            raise DimensionError("data must contain only 0/1 values")
+        if arities is None:
+            if arr.size and arr.max() > 1:
+                raise DimensionError("data must contain only 0/1 values")
+        else:
+            arities = tuple(int(b) for b in arities)
+            if arr.shape[1] != len(arities):
+                raise DimensionError(
+                    f"data has {arr.shape[1]} columns but {len(arities)} "
+                    "arities were given"
+                )
+            if any(b < 2 for b in arities):
+                raise DimensionError(f"arities must be >= 2, got {arities}")
+            for j, b in enumerate(arities):
+                column = arr[:, j]
+                if column.size and (column.min() < 0 or column.max() >= b):
+                    raise DimensionError(
+                        f"column {j} has values outside range({b})"
+                    )
+        radix = arities or (2,) * arr.shape[1]
+        if domain is not None and tuple(domain.arities) != radix:
+            raise DimensionError(
+                f"domain arities {tuple(domain.arities)} do not match "
+                f"dataset arities {radix}"
+            )
         self._data = arr
+        self.arities = arities
         self.name = name
+        self.domain = domain
         self._packed = None
 
     # ------------------------------------------------------------------
@@ -43,8 +83,8 @@ class BinaryDataset:
     @classmethod
     def from_transactions(
         cls, transactions, num_attributes: int, name: str = "dataset"
-    ) -> "BinaryDataset":
-        """Build from an iterable of item-id collections.
+    ) -> "Dataset":
+        """Build a binary dataset from an iterable of item-id collections.
 
         Item ids outside ``range(num_attributes)`` are ignored, which is
         how the paper's preprocessing keeps only the top pages /
@@ -68,25 +108,50 @@ class BinaryDataset:
         return cls(data.astype(np.uint8), name=name)
 
     @classmethod
+    def from_columns(cls, columns, domain, name: str = "dataset") -> "Dataset":
+        """Encode raw attribute values through a Domain's binning.
+
+        ``columns`` is a name-keyed mapping or a positional sequence of
+        per-attribute value arrays; each is encoded into codes with
+        :meth:`repro.marginals.domain.Attribute.encode` (numeric
+        attributes are binned, labelled attributes looked up).
+        """
+        return cls(
+            domain.encode_records(columns), domain.arities, name=name,
+            domain=domain,
+        )
+
+    @classmethod
     def random(
         cls,
         num_records: int,
-        num_attributes: int,
+        arities,
         density: float = 0.5,
         rng: np.random.Generator | None = None,
         name: str = "random",
-    ) -> "BinaryDataset":
-        """IID Bernoulli(``density``) dataset, mainly for tests."""
+    ) -> "Dataset":
+        """IID random data, mainly for tests.
+
+        An integer ``arities`` gives that many Bernoulli(``density``)
+        binary attributes.  A tuple of arities gives uniform codes per
+        attribute; a :class:`~repro.marginals.domain.Domain` does too,
+        and is then attached to the dataset.
+        """
         rng = rng or np.random.default_rng()
-        data = (rng.random((num_records, num_attributes)) < density).astype(np.uint8)
-        return cls(data, name=name)
+        if isinstance(arities, (int, np.integer)):
+            data = rng.random((num_records, int(arities))) < density
+            return cls(data.astype(np.uint8), name=name)
+        domain = arities if hasattr(arities, "attr_set") else None
+        arities = tuple(int(b) for b in (domain.arities if domain else arities))
+        columns = [rng.integers(0, b, size=num_records) for b in arities]
+        return cls(np.stack(columns, axis=1), arities, name=name, domain=domain)
 
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
     @property
     def data(self) -> np.ndarray:
-        """The underlying ``(N, d)`` uint8 matrix (read-only view)."""
+        """The underlying ``(N, d)`` matrix (read-only view)."""
         view = self._data.view()
         view.setflags(write=False)
         return view
@@ -98,40 +163,47 @@ class BinaryDataset:
 
     @property
     def num_attributes(self) -> int:
-        """``d``, the number of binary attributes."""
+        """``d``, the number of attributes."""
         return self._data.shape[1]
 
     def __len__(self) -> int:
         return self.num_records
 
     def __repr__(self) -> str:
+        kind = "" if self.arities is None else f", arities={self.arities}"
         return (
-            f"BinaryDataset(name={self.name!r}, N={self.num_records}, "
-            f"d={self.num_attributes})"
+            f"Dataset(name={self.name!r}, N={self.num_records}, "
+            f"d={self.num_attributes}{kind})"
         )
 
     # ------------------------------------------------------------------
     # Marginals
     # ------------------------------------------------------------------
+    def _attrs(self, attrs) -> AttrSet:
+        """``attrs`` validated, with the dataset's arities attached."""
+        attrs = AttrSet(attrs, self.num_attributes)
+        if self.arities is None:
+            return attrs
+        return attrs.with_arities(self.arities[a] for a in attrs)
+
     def cell_index(self, attrs) -> np.ndarray:
         """Per-record cell index within the marginal over ``attrs``."""
-        attrs = AttrSet(attrs, self.num_attributes)
-        weights = (np.int64(1) << np.arange(len(attrs), dtype=np.int64))
-        return self._data[:, list(attrs)].astype(np.int64) @ weights
+        attrs = self._attrs(attrs)
+        place = np.array(strides(attrs.radix), dtype=np.int64)
+        return self._data[:, list(attrs)].astype(np.int64, copy=False) @ place
 
     def marginal(self, attrs) -> MarginalTable:
         """The exact (non-private) marginal table over ``attrs``."""
-        attrs = AttrSet(attrs, self.num_attributes)
-        idx = self.cell_index(attrs)
-        counts = np.bincount(idx, minlength=1 << len(attrs)).astype(np.float64)
-        return MarginalTable(attrs, counts)
+        attrs = self._attrs(attrs)
+        counts = np.bincount(self.cell_index(attrs), minlength=attrs.size)
+        return MarginalTable(attrs, counts.astype(np.float64))
 
     def marginals(self, attr_sets) -> list[MarginalTable]:
         """Exact marginals for every attribute set in ``attr_sets``."""
         return [self.marginal(attrs) for attrs in attr_sets]
 
     def attribute_means(self) -> np.ndarray:
-        """Per-attribute fraction of ones; handy for sanity checks."""
+        """Per-attribute mean code (the fraction of ones when binary)."""
         if self.num_records == 0:
             return np.zeros(self.num_attributes)
         return self._data.mean(axis=0)
@@ -157,5 +229,11 @@ class BinaryDataset:
                 self.num_records,
                 name=self.name,
                 chunk_words=chunk_words,
+                arities=self.arities,
+                domain=self.domain,
             )
         return self._packed
+
+
+#: The names the benchmark harness imports; the same class.
+BinaryDataset = Dataset

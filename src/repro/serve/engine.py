@@ -35,6 +35,7 @@ from repro.core.reconstruction import (
     reconstruct,
     reconstruct_batch,
 )
+from repro.core.synopsis import PriViewSynopsis
 from repro.exceptions import (
     QueryError,
     QueryTimeoutError,
@@ -122,6 +123,14 @@ class SampleAnswer:
     cold: bool
 
 
+def design_notation(source) -> str | None:
+    """The covering design's ``C_t(l, w)`` name when ``source`` is a
+    synopsis whose views one chose, else ``None``."""
+    if isinstance(source, PriViewSynopsis) and source.design is not None:
+        return source.design.notation
+    return None
+
+
 class QueryEngine:
     """Concurrent marginal answering on top of one marginal source.
 
@@ -130,10 +139,10 @@ class QueryEngine:
     source:
         Any :class:`~repro.baselines.base.MarginalSource` exposing
         ``marginal(attrs)`` and ``num_attributes``.  A
-        :class:`~repro.core.synopsis.PriViewSynopsis` or
-        :class:`~repro.categorical.priview.CategoricalSynopsis` (fitted
-        or loaded via :func:`~repro.core.serialization.load_synopsis`)
-        additionally exposes ``views`` and gets the full planner —
+        :class:`~repro.core.synopsis.PriViewSynopsis` of either domain
+        kind (fitted or loaded via
+        :func:`~repro.core.serialization.load_synopsis`) additionally
+        exposes ``views`` and gets the full planner —
         covered / derived / solved.  A viewless source (a fitted
         baseline mechanism, say) answers every cache miss through its
         own ``marginal``; planning degenerates to *solved* but the
@@ -689,7 +698,6 @@ class QueryEngine:
             requests = self._requests
             paths = dict(self._paths)
             fallbacks = self._fallbacks
-        design = getattr(self.source, "design", None)
         latency = None
         sess = obs.current()
         if sess is not None and sess.metrics is not None:
@@ -715,7 +723,7 @@ class QueryEngine:
             "dataset": self.dataset,
             "synopsis": {
                 "name": getattr(self.source, "name", type(self.source).__name__),
-                "design": getattr(design, "notation", None),
+                "design": design_notation(self.source),
                 "epsilon": getattr(self.source, "epsilon", None),
                 "num_attributes": self.source.num_attributes,
                 "views": len(self._views),

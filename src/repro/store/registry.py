@@ -236,7 +236,6 @@ class SynopsisStore:
                 # failure; a hard kill is covered by gc's tmp sweep.
                 tmp.unlink(missing_ok=True)
                 raise
-            design = getattr(synopsis, "design", None)
             with self._lock():
                 manifest = self.manifest()
                 entry = manifest.ensure(name)
@@ -245,22 +244,19 @@ class SynopsisStore:
                     version=entry.next_version(),
                     sha256=sha,
                     size_bytes=size,
-                    epsilon=getattr(synopsis, "epsilon", None),
-                    num_attributes=getattr(synopsis, "num_attributes", None),
-                    num_views=len(getattr(synopsis, "views", ()) or ()),
-                    design=getattr(design, "notation", None),
-                    total_count=(
-                        float(synopsis.total_count())
-                        if callable(getattr(synopsis, "total_count", None))
-                        else None
+                    epsilon=synopsis.epsilon,
+                    num_attributes=synopsis.num_attributes,
+                    num_views=synopsis.num_views,
+                    design=(
+                        None if synopsis.design is None
+                        else synopsis.design.notation
                     ),
+                    total_count=float(synopsis.total_count()),
                     created_at=created_at or _utc_now(),
                     fit_seconds=fit_seconds,
                     domain=(
-                        domain.to_json()
-                        if (domain := getattr(synopsis, "domain", None))
-                        is not None
-                        else None
+                        None if synopsis.domain is None
+                        else synopsis.domain.to_json()
                     ),
                     extra=dict(extra or {}),
                 )

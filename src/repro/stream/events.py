@@ -2,7 +2,7 @@
 
 An *event* is one record of the evolving dataset: the set of binary
 attributes ("items", transaction-style — the same shape
-:meth:`~repro.marginals.dataset.BinaryDataset.from_transactions`
+:meth:`~repro.marginals.dataset.Dataset.from_transactions`
 consumes) plus an optional event time.  Producers hand the ingestor
 any of:
 

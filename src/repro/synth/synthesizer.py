@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from repro import obs
+from repro.core.synopsis import PriViewSynopsis
 from repro.exceptions import SynthesisError
 from repro.marginals.domain import Domain
 from repro.marginals.projection import strides
@@ -52,19 +53,16 @@ def domain_of(synopsis) -> Domain:
     categorical domain from ``arities``; else the binary domain of
     ``num_attributes``.
     """
-    domain = getattr(synopsis, "domain", None)
-    if domain is not None:
-        return domain
-    arities = getattr(synopsis, "arities", None)
-    if arities is not None:
-        return Domain.from_arities(arities)
-    num_attributes = getattr(synopsis, "num_attributes", None)
-    if num_attributes is None:
+    if not isinstance(synopsis, PriViewSynopsis):
         raise SynthesisError(
             f"cannot infer a domain from {type(synopsis).__name__} "
-            "(no domain, arities or num_attributes)"
+            "(not a PriView synopsis)"
         )
-    return Domain.binary(int(num_attributes))
+    if synopsis.domain is not None:
+        return synopsis.domain
+    if synopsis.arities is not None:
+        return Domain.from_arities(synopsis.arities)
+    return Domain.binary(synopsis.num_attributes)
 
 
 def _code_dtype(size: int):

@@ -9,7 +9,7 @@ from repro.baselines.datacube import (
     select_cuboids,
 )
 from repro.exceptions import DimensionError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 class TestSelection:

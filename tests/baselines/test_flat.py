@@ -9,7 +9,7 @@ from repro.baselines.flat import (
     flat_expected_squared_error,
 )
 from repro.exceptions import DimensionError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 class TestFlatMethod:
@@ -43,7 +43,7 @@ class TestFlatMethod:
         assert np.mean(errors) == pytest.approx(expected, rel=0.5)
 
     def test_refuses_large_d(self):
-        ds = BinaryDataset(np.zeros((3, 30), dtype=np.uint8))
+        ds = Dataset(np.zeros((3, 30), dtype=np.uint8))
         with pytest.raises(DimensionError):
             FlatMethod(1.0).fit(ds)
 

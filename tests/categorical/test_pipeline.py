@@ -5,16 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
 from repro.categorical.views import select_categorical_views
 from repro.core.nonnegativity import ripple
+from repro.core.priview import PriView
 from repro.exceptions import DesignError, PrivacyBudgetError
 from repro.marginals import AttrSet, MarginalTable
+from repro.marginals.dataset import Dataset
 
 
 @pytest.fixture
-def mixed_dataset(rng) -> CategoricalDataset:
+def mixed_dataset(rng) -> Dataset:
     """Correlated mixed-arity data via a latent class."""
     arities = (3, 4, 2, 5, 3, 2)
     n = 20_000
@@ -24,7 +24,7 @@ def mixed_dataset(rng) -> CategoricalDataset:
         prefs = rng.dirichlet(np.ones(b), size=3)
         cdf = prefs[latent].cumsum(axis=1)
         columns.append((rng.random((n, 1)) > cdf[:, :-1]).sum(axis=1))
-    return CategoricalDataset(np.stack(columns, axis=1), arities)
+    return Dataset(np.stack(columns, axis=1), arities)
 
 
 class TestViewSelection:
@@ -77,7 +77,7 @@ class TestCategoricalRipple:
 
 class TestPipeline:
     def test_synopsis_consistent(self, mixed_dataset):
-        synopsis = CategoricalPriView(1.0, max_cells=120, seed=0).fit(
+        synopsis = PriView(1.0, max_cells=120, seed=0).fit(
             mixed_dataset
         )
         for a, b in itertools.combinations(synopsis.views, 2):
@@ -89,7 +89,7 @@ class TestPipeline:
             )
 
     def test_covered_query_accuracy(self, mixed_dataset):
-        synopsis = CategoricalPriView(2.0, max_cells=120, seed=0).fit(
+        synopsis = PriView(2.0, max_cells=120, seed=0).fit(
             mixed_dataset
         )
         view = synopsis.views[0]
@@ -101,7 +101,7 @@ class TestPipeline:
         assert err < 0.05
 
     def test_uncovered_query_beats_uniform(self, mixed_dataset):
-        synopsis = CategoricalPriView(2.0, max_cells=60, seed=1).fit(
+        synopsis = PriView(2.0, max_cells=60, seed=1).fit(
             mixed_dataset
         )
         n = mixed_dataset.num_records
@@ -116,7 +116,7 @@ class TestPipeline:
             assert err < uniform_err
 
     def test_noise_free_coverage_only(self, mixed_dataset):
-        synopsis = CategoricalPriView(
+        synopsis = PriView(
             float("inf"), max_cells=120, seed=0
         ).fit(mixed_dataset)
         view = synopsis.views[0]
@@ -127,17 +127,17 @@ class TestPipeline:
         )
 
     def test_explicit_views(self, mixed_dataset):
-        synopsis = CategoricalPriView(
-            1.0, views=[(0, 1, 2), (2, 3, 4, 5), (0, 4, 5)], seed=0
+        synopsis = PriView(
+            1.0, design=[(0, 1, 2), (2, 3, 4, 5), (0, 4, 5)], seed=0
         ).fit(mixed_dataset)
         assert synopsis.num_views == 3
 
     def test_invalid_epsilon(self):
         with pytest.raises(PrivacyBudgetError):
-            CategoricalPriView(0.0)
+            PriView(0.0)
 
     def test_total_count(self, mixed_dataset):
-        synopsis = CategoricalPriView(1.0, max_cells=120, seed=0).fit(
+        synopsis = PriView(1.0, max_cells=120, seed=0).fit(
             mixed_dataset
         )
         assert synopsis.total_count() == pytest.approx(

@@ -8,9 +8,9 @@ and a mixed arity tuple alike.
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
 from repro.exceptions import DimensionError
 from repro.marginals import AttrSet, MarginalTable
+from repro.marginals.dataset import Dataset
 
 #: one all-binary and one mixed arity tuple, over attributes (0, 1, 2)
 ARITY_CASES = [None, (3, 2, 4)]
@@ -21,8 +21,8 @@ def _table(attrs, arities, counts) -> MarginalTable:
 
 
 @pytest.fixture
-def cat_dataset(rng) -> CategoricalDataset:
-    return CategoricalDataset.random(3000, (3, 4, 2, 5), rng=rng)
+def cat_dataset(rng) -> Dataset:
+    return Dataset.random(3000, (3, 4, 2, 5), rng=rng)
 
 
 class TestTable:
@@ -96,18 +96,18 @@ class TestDataset:
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(DimensionError):
-            CategoricalDataset(np.array([[3]]), (3,))
+            Dataset(np.array([[3]]), (3,))
 
     def test_rejects_mismatched_arities(self):
         with pytest.raises(DimensionError):
-            CategoricalDataset(np.zeros((2, 3), dtype=int), (3, 2))
+            Dataset(np.zeros((2, 3), dtype=int), (3, 2))
 
     def test_marginal_total(self, cat_dataset):
         assert cat_dataset.marginal((0, 2)).total() == 3000.0
 
     def test_marginal_matches_manual(self):
         data = np.array([[0, 1], [2, 0], [2, 1], [2, 1]])
-        ds = CategoricalDataset(data, (3, 2))
+        ds = Dataset(data, (3, 2))
         table = ds.marginal((0, 1))
         # cell = a0 + 3*a1
         assert table.counts[2] == 1  # (2, 0)

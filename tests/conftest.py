@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs
 from repro.covering.design import CoveringDesign
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -29,19 +29,19 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def small_dataset(rng) -> BinaryDataset:
+def small_dataset(rng) -> Dataset:
     """Correlated N=4000, d=10 dataset (mixture of three profiles)."""
     n, d = 4000, 10
     types = rng.integers(0, 3, n)
     profiles = rng.random((3, d)) * 0.7
     data = (rng.random((n, d)) < profiles[types]).astype(np.uint8)
-    return BinaryDataset(data, name="small")
+    return Dataset(data, name="small")
 
 
 @pytest.fixture
-def tiny_dataset(rng) -> BinaryDataset:
+def tiny_dataset(rng) -> Dataset:
     """N=500, d=6 — cheap enough for exhaustive checks."""
-    return BinaryDataset.random(500, 6, density=0.4, rng=rng, name="tiny")
+    return Dataset.random(500, 6, density=0.4, rng=rng, name="tiny")
 
 
 @pytest.fixture

@@ -17,11 +17,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
 from repro.core.priview import PriView
 from repro.core.reconstruction import RECONSTRUCTION_METHODS
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 COVERED_RTOL = 1e-9
 SOLVED_RTOL = 1e-6
@@ -41,7 +39,7 @@ def _correlated_codes(rng, n: int, arities) -> np.ndarray:
 
 def _binary():
     rng = np.random.default_rng(5)
-    data = BinaryDataset(_correlated_codes(rng, 2000, (2,) * 6))
+    data = Dataset(_correlated_codes(rng, 2000, (2,) * 6))
     synopsis = PriView(float("inf"), view_width=3, strength=2, seed=1).fit(data)
     return data, synopsis
 
@@ -49,8 +47,8 @@ def _binary():
 def _categorical():
     rng = np.random.default_rng(6)
     arities = (3, 2, 4, 3, 2)
-    data = CategoricalDataset(_correlated_codes(rng, 2000, arities), arities)
-    synopsis = CategoricalPriView(float("inf"), max_cells=24, seed=1).fit(data)
+    data = Dataset(_correlated_codes(rng, 2000, arities), arities)
+    synopsis = PriView(float("inf"), max_cells=24, seed=1).fit(data)
     return data, synopsis
 
 

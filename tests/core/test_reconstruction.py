@@ -86,11 +86,11 @@ class TestMaxent:
 
     def test_exact_recovery_of_product_data(self, rng):
         """IID attributes: pair constraints determine any marginal."""
-        from repro.marginals.dataset import BinaryDataset
+        from repro.marginals.dataset import Dataset
 
         probs = np.array([0.2, 0.5, 0.8, 0.4])
         data = (rng.random((40_000, 4)) < probs).astype(np.uint8)
-        ds = BinaryDataset(data)
+        ds = Dataset(data)
         views = [ds.marginal((0, 1)), ds.marginal((2, 3))]
         table = reconstruct(views, (0, 2), method="maxent")
         truth = ds.marginal((0, 2))

@@ -36,7 +36,7 @@ from repro.core.reconstruction import (
 from repro.covering.design import CoveringDesign
 from repro.exceptions import ReconstructionError
 from repro.marginals.attrs import AttrSet
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.projection import embedding_masks, subset_positions
 from repro.marginals.table import MarginalTable
 
@@ -355,7 +355,7 @@ class TestDegenerateBases:
         assert table.total() == 0.0
 
     def test_synopsis_degenerate_sets(self, rng):
-        dataset = BinaryDataset.random(500, 6, density=0.5, rng=rng)
+        dataset = Dataset.random(500, 6, density=0.5, rng=rng)
         design = CoveringDesign(
             6, 3, 1, ((0, 1, 2), (2, 3, 4), (3, 4, 5))
         )

@@ -10,7 +10,7 @@ from repro.datasets.loaders import (
     load_or_synthesize,
 )
 from repro.exceptions import DatasetError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 class TestFimiLoader:
@@ -75,7 +75,7 @@ class TestDatasetIO:
 
     def test_round_trip_odd_width(self, tmp_path, rng):
         """d not divisible by 8 exercises the bit-packing edge."""
-        ds = BinaryDataset.random(40, 13, rng=rng)
+        ds = Dataset.random(40, 13, rng=rng)
         path = save_dataset(ds, tmp_path / "odd.npz")
         assert np.array_equal(load_dataset(path).data, ds.data)
 

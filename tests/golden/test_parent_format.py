@@ -5,7 +5,8 @@
 the release before the binary and categorical table types merged.
 Loading must pass both integrity checks (the store's file sha256 and
 the header's ``payload_sha256``), give back the same views, and keep
-binary views free of arity metadata.
+binary views free of arity metadata.  Re-saving a loaded file must
+write the parent's header and arrays back unchanged.
 
 The files are fixtures of *that* release's output: do not regenerate
 them with current code.  ``python tests/golden/test_parent_format.py``
@@ -21,7 +22,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.serialization import load_synopsis, payload_digest
+from repro.core.serialization import load_synopsis, payload_digest, save_synopsis
 from repro.store import SynopsisStore
 
 FIXTURES = pathlib.Path(__file__).with_name("parent_format")
@@ -32,7 +33,19 @@ def _expected() -> dict:
 
 
 def _check(synopsis, expected: dict) -> None:
-    assert type(synopsis).__name__ == expected["type"]
+    # The kind the parent recorded as a class name: binary synopses
+    # carry no arities, categorical ones the arities of their views.
+    if expected["type"] == "CategoricalSynopsis":
+        arities = {
+            a: b
+            for attrs, view_arities in zip(
+                expected["view_attrs"], expected["view_arities"]
+            )
+            for a, b in zip(attrs, view_arities)
+        }
+        assert synopsis.arities == tuple(arities[a] for a in sorted(arities))
+    else:
+        assert synopsis.arities is None
     assert [list(v.attrs) for v in synopsis.views] == expected["view_attrs"]
     for view, total in zip(synopsis.views, expected["view_totals"]):
         assert view.total() == total
@@ -58,6 +71,18 @@ def test_store_version_loads_and_verifies(name, tmp_path):
     shutil.copytree(FIXTURES / "store", root)
     synopsis = SynopsisStore(root, create=False).get(f"{name}@1", verify=True)
     _check(synopsis, _expected()[name])
+
+
+@pytest.mark.parametrize("name", ["binary", "categorical"])
+def test_resave_reproduces_parent_file(name, tmp_path):
+    """The one writer gives back the parent's header and arrays."""
+    original = FIXTURES / f"{name}.npz"
+    copy = save_synopsis(load_synopsis(original), tmp_path / f"{name}.npz")
+    with np.load(original) as before, np.load(copy) as after:
+        assert str(after["header"]) == str(before["header"])
+        assert sorted(after.files) == sorted(before.files)
+        for key in before.files:
+            assert np.array_equal(after[key], before[key])
 
 
 def test_binary_views_carry_no_arities():

@@ -7,7 +7,7 @@ Three slices, each in its own fixture next to this file:
   on a fixed query set: covered targets, plus solved targets for every
   reconstruction method, one at a time and through ``marginals()``;
 * ``categorical.json`` — sha256 of the views of a seeded
-  ``CategoricalPriView`` fit and of its covered answers, plus the
+  ``PriView`` fit and of its covered answers, plus the
   stored cells of its uncovered ``maxent`` answers.  Those are
   compared with a tolerance rather than a hash: the solver's
   constraint order may move them by round-off.  Each stored answer
@@ -34,10 +34,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
 from repro.core.priview import PriView
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.store import SynopsisStore
 from repro.stream import BudgetSchedule, CountWindowPolicy, WindowScheduler
 
@@ -83,7 +81,7 @@ def _query_sets(synopsis, d: int, k: int, count: int):
 # binary
 # ----------------------------------------------------------------------
 def _binary_fit(workers, packed):
-    data = BinaryDataset.random(3000, 9, rng=np.random.default_rng(11))
+    data = Dataset.random(3000, 9, rng=np.random.default_rng(11))
     return PriView(
         epsilon=1.0, view_width=5, seed=3, workers=workers, packed=packed
     ).fit(data)
@@ -125,8 +123,8 @@ def _categorical_fit():
         columns.append(
             np.where(follow, columns[-1] % b, rng.integers(0, b, n))
         )
-    data = CategoricalDataset(np.stack(columns, axis=1), CATEGORICAL_ARITIES)
-    return CategoricalPriView(epsilon=1.0, max_cells=40, seed=5).fit(data)
+    data = Dataset(np.stack(columns, axis=1), CATEGORICAL_ARITIES)
+    return PriView(epsilon=1.0, max_cells=40, seed=5).fit(data)
 
 
 def constraint_gap(synopsis, table) -> float:

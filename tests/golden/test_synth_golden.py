@@ -27,10 +27,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
 from repro.core.priview import PriView
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Domain
 from repro.synth import Synthesizer
 
@@ -38,14 +36,14 @@ FIXTURE = pathlib.Path(__file__).with_name("synth.json")
 
 
 def _binary_256():
-    data = BinaryDataset.random(4000, 10, rng=np.random.default_rng(1))
+    data = Dataset.random(4000, 10, rng=np.random.default_rng(1))
     return PriView(epsilon=1.0, view_width=8, seed=2).fit(data), None
 
 
 def _categorical():
     domain = Domain.from_arities((2, 3, 4, 5, 6, 7, 8, 2))
-    data = CategoricalDataset.random(5000, domain, rng=np.random.default_rng(4))
-    return CategoricalPriView(epsilon=1.0, seed=5).fit(data), None
+    data = Dataset.random(5000, domain, rng=np.random.default_rng(4))
+    return PriView(epsilon=1.0, seed=5).fit(data), None
 
 
 def _explicit_num_records():

@@ -12,13 +12,13 @@ from repro import PriView, obs
 from repro.covering.repository import best_design
 from repro.kernels import fit_defaults, set_fit_defaults
 from repro.kernels.fit import generate_noisy_views
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 @pytest.fixture(scope="module")
 def dataset():
     rng = np.random.default_rng(42)
-    return BinaryDataset((rng.random((2500, 16)) < 0.3).astype(np.uint8))
+    return Dataset((rng.random((2500, 16)) < 0.3).astype(np.uint8))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import DimensionError
 from repro.marginals.contingency import FullContingencyTable
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 class TestFullContingencyTable:
@@ -31,7 +31,7 @@ class TestFullContingencyTable:
             FullContingencyTable(30, np.zeros(8))
 
     def test_rejects_large_d_from_dataset(self):
-        ds = BinaryDataset(np.zeros((2, 30), dtype=np.uint8))
+        ds = Dataset(np.zeros((2, 30), dtype=np.uint8))
         with pytest.raises(DimensionError):
             FullContingencyTable.from_dataset(ds)
 
@@ -52,7 +52,7 @@ class TestFullContingencyTable:
 
     def test_cell_indexing_convention(self):
         # one record: attrs (1,0,1) -> index 1 + 4 = 5
-        ds = BinaryDataset(np.array([[1, 0, 1]], np.uint8))
+        ds = Dataset(np.array([[1, 0, 1]], np.uint8))
         table = FullContingencyTable.from_dataset(ds)
         assert table.counts[5] == 1.0
         assert table.counts.sum() == 1.0

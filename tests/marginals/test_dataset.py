@@ -1,10 +1,10 @@
-"""Tests for BinaryDataset."""
+"""Tests for Dataset."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 class TestConstruction:
@@ -15,18 +15,18 @@ class TestConstruction:
 
     def test_rejects_non_binary(self):
         with pytest.raises(DimensionError):
-            BinaryDataset(np.array([[0, 2]]))
+            Dataset(np.array([[0, 2]]))
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(DimensionError):
-            BinaryDataset(np.array([0, 1, 0]))
+            Dataset(np.array([0, 1, 0]))
 
     def test_data_is_read_only(self, tiny_dataset):
         with pytest.raises(ValueError):
             tiny_dataset.data[0, 0] = 1
 
     def test_from_transactions(self):
-        ds = BinaryDataset.from_transactions(
+        ds = Dataset.from_transactions(
             [[0, 2], [1], [0, 1, 2], []], num_attributes=3
         )
         assert ds.num_records == 4
@@ -35,19 +35,19 @@ class TestConstruction:
         )
 
     def test_from_transactions_ignores_out_of_range(self):
-        ds = BinaryDataset.from_transactions([[0, 7, -2]], num_attributes=3)
+        ds = Dataset.from_transactions([[0, 7, -2]], num_attributes=3)
         assert np.array_equal(ds.data, [[1, 0, 0]])
 
     def test_from_transactions_duplicate_items_stay_binary(self):
         # Regression: an item repeated inside one transaction must
         # contribute a single 1, not a scatter-added count.
-        ds = BinaryDataset.from_transactions(
+        ds = Dataset.from_transactions(
             [[2, 2, 2], [0, 1, 0], []], num_attributes=3
         )
         assert np.array_equal(ds.data, [[0, 0, 1], [1, 1, 0], [0, 0, 0]])
 
     def test_from_transactions_empty_iterable(self):
-        ds = BinaryDataset.from_transactions([], num_attributes=4)
+        ds = Dataset.from_transactions([], num_attributes=4)
         assert ds.num_records == 0 and ds.num_attributes == 4
 
     def test_from_transactions_matches_python_loop(self):
@@ -60,15 +60,15 @@ class TestConstruction:
             for item in txn:
                 if 0 <= item < 6:
                     expected[row, item] = 1
-        ds = BinaryDataset.from_transactions(txns, num_attributes=6)
+        ds = Dataset.from_transactions(txns, num_attributes=6)
         assert np.array_equal(ds.data, expected)
 
     def test_random_density(self, rng):
-        ds = BinaryDataset.random(20_000, 4, density=0.25, rng=rng)
+        ds = Dataset.random(20_000, 4, density=0.25, rng=rng)
         assert abs(ds.data.mean() - 0.25) < 0.02
 
     def test_empty_dataset(self):
-        ds = BinaryDataset(np.zeros((0, 5), dtype=np.uint8))
+        ds = Dataset(np.zeros((0, 5), dtype=np.uint8))
         assert ds.num_records == 0
         assert ds.marginal((0, 1)).total() == 0.0
 
@@ -83,7 +83,7 @@ class TestMarginals:
 
     def test_marginal_matches_manual_count(self):
         data = np.array([[1, 0, 1], [1, 1, 1], [0, 0, 0], [1, 0, 1]], np.uint8)
-        ds = BinaryDataset(data)
+        ds = Dataset(data)
         table = ds.marginal((0, 2))
         # cells indexed: bit0 = attr0, bit1 = attr2
         assert table.counts[0] == 1  # (0,0): row 2
@@ -93,7 +93,7 @@ class TestMarginals:
 
     def test_single_attribute_marginal(self):
         data = np.array([[1], [0], [1]], np.uint8)
-        table = BinaryDataset(data).marginal((0,))
+        table = Dataset(data).marginal((0,))
         assert np.allclose(table.counts, [1.0, 2.0])
 
     def test_marginal_projection_consistency(self, small_dataset):
@@ -112,11 +112,11 @@ class TestMarginals:
 
     def test_attribute_means(self):
         data = np.array([[1, 0], [1, 1]], np.uint8)
-        means = BinaryDataset(data).attribute_means()
+        means = Dataset(data).attribute_means()
         assert np.allclose(means, [1.0, 0.5])
 
     def test_attribute_means_empty(self):
-        ds = BinaryDataset(np.zeros((0, 3), dtype=np.uint8))
+        ds = Dataset(np.zeros((0, 3), dtype=np.uint8))
         assert np.allclose(ds.attribute_means(), 0.0)
 
     def test_negative_attribute_rejected(self, small_dataset):

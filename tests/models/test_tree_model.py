@@ -8,7 +8,7 @@ from repro.core.priview import PriView
 from repro.covering.repository import best_design
 from repro.datasets.mchain import markov_chain_dataset
 from repro.exceptions import ReconstructionError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.models.chow_liu import (
     _mutual_information,
     chow_liu_tree,
@@ -17,14 +17,14 @@ from repro.models.chow_liu import (
 from repro.models.tree_model import TreeModel
 
 
-def _chain_dataset(rng, n=30_000, d=8, flip=0.1) -> BinaryDataset:
+def _chain_dataset(rng, n=30_000, d=8, flip=0.1) -> Dataset:
     """A hidden-Markov-free chain: x_{j+1} = x_j flipped w.p. ``flip``."""
     data = np.zeros((n, d), dtype=np.uint8)
     data[:, 0] = rng.random(n) < 0.5
     for j in range(1, d):
         flips = rng.random(n) < flip
         data[:, j] = data[:, j - 1] ^ flips
-    return BinaryDataset(data, name="chain")
+    return Dataset(data, name="chain")
 
 
 @pytest.fixture(scope="module")

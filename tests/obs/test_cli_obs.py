@@ -8,7 +8,7 @@ import pytest
 from repro import cli
 from repro.covering.repository import best_design
 from repro.experiments import registry
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.obs.exporters import read_jsonl
 
 
@@ -20,7 +20,7 @@ def fake_experiments(monkeypatch):
     def tiny(scale=None, seed: int = 0) -> str:
         rng = np.random.default_rng(seed)
         data = (rng.random((400, 6)) < 0.4).astype(np.uint8)
-        dataset = BinaryDataset(data, name="tiny")
+        dataset = Dataset(data, name="tiny")
         PriView(1.0, design=best_design(6, 4, 2), seed=seed).fit(dataset)
         return "== tiny: ok =="
 

@@ -9,14 +9,14 @@ from repro import obs
 from repro.core.priview import PriView
 from repro.covering.repository import best_design
 from repro.exceptions import LedgerError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.mechanisms.laplace import noisy_counts
 from repro.obs.ledger import BudgetScope
 
 
-def _window(d: int = 6, n: int = 200, seed: int = 0) -> BinaryDataset:
+def _window(d: int = 6, n: int = 200, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
-    return BinaryDataset((rng.random((n, d)) < 0.4).astype(np.uint8))
+    return Dataset((rng.random((n, d)) < 0.4).astype(np.uint8))
 
 
 def test_rejects_unknown_composition():

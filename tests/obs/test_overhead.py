@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.core.priview import PriView
 from repro.covering.repository import best_design
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 def _fit_times(dataset, design, repeats):
@@ -33,7 +33,7 @@ def _fit_times(dataset, design, repeats):
 def test_enabled_instrumentation_overhead_is_small():
     rng = np.random.default_rng(0)
     data = (rng.random((20_000, 16)) < 0.3).astype(np.uint8)
-    dataset = BinaryDataset(data, name="overhead")
+    dataset = Dataset(data, name="overhead")
     design = best_design(16, 8, 2)
     PriView(1.0, design=design, seed=0).fit(dataset)  # warm caches
 

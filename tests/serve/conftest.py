@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.priview import PriView
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 @pytest.fixture
@@ -16,5 +16,5 @@ def chain_synopsis(rng, chain_design):
     types = rng.integers(0, 3, n)
     profiles = rng.random((3, d)) * 0.8
     data = (rng.random((n, d)) < profiles[types]).astype(np.uint8)
-    dataset = BinaryDataset(data, name="chain")
+    dataset = Dataset(data, name="chain")
     return PriView(2.0, design=chain_design, seed=11).fit(dataset)

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
+from repro.core.priview import PriView
 from repro.exceptions import DimensionError, RemoteQueryError
+from repro.marginals.dataset import Dataset
 from repro.serve import (
     PATH_COVERED,
     PATH_DERIVED,
@@ -32,8 +32,8 @@ from repro.serve.protocol import encode_answer
 @pytest.fixture(scope="module")
 def synopsis():
     rng = np.random.default_rng(3)
-    data = CategoricalDataset.random(3000, (3, 2, 4, 3, 2, 3), rng=rng)
-    return CategoricalPriView(1.0, max_cells=30, seed=4).fit(data)
+    data = Dataset.random(3000, (3, 2, 4, 3, 2, 3), rng=rng)
+    return PriView(1.0, max_cells=30, seed=4).fit(data)
 
 
 def _uncovered_with_superset(synopsis):

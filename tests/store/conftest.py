@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.priview import PriView
 from repro.covering.repository import best_design
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.store import SynopsisStore
 
 
@@ -15,7 +15,7 @@ def fit_synopsis(d: int = 8, seed: int = 1, epsilon: float = 2.0):
     """A small fitted synopsis; distinct seeds give distinct payloads."""
     rng = np.random.default_rng(1000 + seed)
     data = (rng.random((600, d)) < 0.35).astype(np.uint8)
-    dataset = BinaryDataset(data, name=f"fixture-d{d}-s{seed}")
+    dataset = Dataset(data, name=f"fixture-d{d}-s{seed}")
     return PriView(epsilon, design=best_design(d, 4, 2), seed=seed).fit(dataset)
 
 

@@ -20,22 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.synopsis import PriViewSynopsis
 from repro.marginals import AttrSet, MarginalTable
 from repro.synth import Synthesizer
 from repro.synth.synthesizer import _L1_SLACK, _view_specs, domain_of
-
-
-class _Synopsis:
-    """Minimal synopsis: arities, views and a total count."""
-
-    epsilon = None
-
-    def __init__(self, arities, views):
-        self.arities = tuple(arities)
-        self.views = views
-
-    def total_count(self) -> float:
-        return float(np.mean([view.counts.sum() for view in self.views]))
 
 
 def _synopsis(arities, view_attrs, seed):
@@ -47,7 +35,7 @@ def _synopsis(arities, view_attrs, seed):
         counts = rng.integers(0, 20, size) * (rng.random(size) < 0.8)
         counts[rng.integers(size)] += 1  # never an all-zero view
         views.append(MarginalTable(AttrSet(attrs, arities=view_arities), counts))
-    return _Synopsis(arities, views)
+    return PriViewSynopsis(views=views, epsilon=float("inf"), arities=arities)
 
 
 # -- the oracle: full recompute of every cell code, every time ----------

@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView, CategoricalSynopsis
 from repro.core.priview import PriView
 from repro.core.serialization import load_synopsis, save_synopsis
+from repro.core.synopsis import PriViewSynopsis
 from repro.exceptions import SynopsisIntegrityError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Attribute, Domain
 from repro.store import SynopsisStore
 
@@ -26,9 +25,9 @@ def domain() -> Domain:
 
 
 @pytest.fixture(scope="module")
-def cat_synopsis(domain) -> CategoricalSynopsis:
-    ds = CategoricalDataset.random(8000, domain, rng=np.random.default_rng(1))
-    return CategoricalPriView(epsilon=2.0, seed=2).fit(ds)
+def cat_synopsis(domain) -> PriViewSynopsis:
+    ds = Dataset.random(8000, domain, rng=np.random.default_rng(1))
+    return PriView(epsilon=2.0, seed=2).fit(ds)
 
 
 def _rewrite_header(path, mutate):
@@ -46,7 +45,7 @@ class TestCategoricalRoundTrip:
     def test_save_load_preserves_everything(self, cat_synopsis, tmp_path):
         path = save_synopsis(cat_synopsis, tmp_path / "cat.npz")
         again = load_synopsis(path)
-        assert isinstance(again, CategoricalSynopsis)
+        assert isinstance(again, PriViewSynopsis)
         assert again.arities == cat_synopsis.arities
         assert again.domain == cat_synopsis.domain
         assert again.num_views == cat_synopsis.num_views
@@ -66,7 +65,7 @@ class TestCategoricalRoundTrip:
 
     def test_binary_synopsis_with_domain(self, tmp_path):
         dom = Domain.binary(6, names=tuple("abcdef"))
-        ds = BinaryDataset.random(4000, 6, rng=np.random.default_rng(0))
+        ds = Dataset.random(4000, 6, rng=np.random.default_rng(0))
         ds.domain = dom
         synopsis = PriView(epsilon=1.0, seed=1).fit(ds)
         assert synopsis.domain is dom
@@ -74,7 +73,7 @@ class TestCategoricalRoundTrip:
         assert again.domain == dom
 
     def test_domainless_files_still_load(self, cat_synopsis, tmp_path):
-        bare = CategoricalSynopsis(
+        bare = PriViewSynopsis(
             views=cat_synopsis.views,
             arities=cat_synopsis.arities,
             epsilon=cat_synopsis.epsilon,
@@ -121,7 +120,7 @@ class TestStoreIntegration:
             "age", "job", "flag", "kids",
         ]
         again = store.get("mixed")
-        assert isinstance(again, CategoricalSynopsis)
+        assert isinstance(again, PriViewSynopsis)
         assert again.domain == cat_synopsis.domain
 
     def test_manifest_domain_round_trips(self, cat_synopsis, tmp_path):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
 from repro.cli import main as cli_main
+from repro.core.priview import PriView
 from repro.core.serialization import save_synopsis
 from repro.exceptions import QueryError, RemoteQueryError
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Attribute, Domain
 from repro.marginals.table import MarginalTable
 from repro.serve import MarginalServer, QueryClient
@@ -25,8 +25,8 @@ def domain() -> Domain:
 
 @pytest.fixture(scope="module")
 def cat_synopsis(domain):
-    ds = CategoricalDataset.random(6000, domain, rng=np.random.default_rng(1))
-    return CategoricalPriView(epsilon=2.0, seed=2).fit(ds)
+    ds = Dataset.random(6000, domain, rng=np.random.default_rng(1))
+    return PriView(epsilon=2.0, seed=2).fit(ds)
 
 
 class TestEngineSample:

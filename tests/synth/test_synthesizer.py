@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.categorical.dataset import CategoricalDataset
-from repro.categorical.priview import CategoricalPriView
 from repro.core.priview import PriView
 from repro.exceptions import SynthesisError
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Domain
 from repro.synth import RecordSampler, Synthesizer, domain_of, synthesize
 
@@ -17,13 +15,13 @@ from repro.synth import RecordSampler, Synthesizer, domain_of, synthesize
 def cat_synopsis():
     dom = Domain.from_arities((2, 3, 4, 2, 5, 3))
     rng = np.random.default_rng(7)
-    ds = CategoricalDataset.random(20_000, dom, rng=rng)
-    return CategoricalPriView(epsilon=2.0, seed=11).fit(ds)
+    ds = Dataset.random(20_000, dom, rng=rng)
+    return PriView(epsilon=2.0, seed=11).fit(ds)
 
 
 @pytest.fixture(scope="module")
 def binary_synopsis():
-    ds = BinaryDataset.random(10_000, 8, rng=np.random.default_rng(3))
+    ds = Dataset.random(10_000, 8, rng=np.random.default_rng(3))
     return PriView(epsilon=2.0, seed=5).fit(ds)
 
 

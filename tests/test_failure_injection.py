@@ -10,7 +10,7 @@ never a crash or silent nonsense.
 import numpy as np
 import pytest
 
-from repro import BinaryDataset, PriView
+from repro import Dataset, PriView
 from repro.core.consistency import make_consistent
 from repro.core.reconstruction import reconstruct
 from repro.core.serialization import load_synopsis, save_synopsis
@@ -26,28 +26,28 @@ DESIGN = CoveringDesign(
 
 class TestDegenerateDatasets:
     def test_empty_dataset_pipeline(self):
-        dataset = BinaryDataset(np.zeros((0, 6), dtype=np.uint8))
+        dataset = Dataset(np.zeros((0, 6), dtype=np.uint8))
         synopsis = PriView(1.0, design=DESIGN, seed=0).fit(dataset)
         table = synopsis.marginal((0, 3))
         assert np.all(np.isfinite(table.counts))
         assert table.counts.min() >= 0.0
 
     def test_single_record_dataset(self):
-        dataset = BinaryDataset(np.ones((1, 6), dtype=np.uint8))
+        dataset = Dataset(np.ones((1, 6), dtype=np.uint8))
         synopsis = PriView(1.0, design=DESIGN, seed=0).fit(dataset)
         assert np.all(np.isfinite(synopsis.marginal((0, 5)).counts))
 
     def test_constant_columns(self):
         data = np.zeros((500, 6), dtype=np.uint8)
         data[:, 3] = 1
-        dataset = BinaryDataset(data)
+        dataset = Dataset(data)
         synopsis = PriView(float("inf"), design=DESIGN, seed=0).fit(dataset)
         table = synopsis.marginal((2, 3))
         truth = dataset.marginal((2, 3))
         assert np.allclose(table.counts, truth.counts, atol=1e-6)
 
     def test_tiny_epsilon_still_finite(self):
-        dataset = BinaryDataset.random(
+        dataset = Dataset.random(
             200, 6, rng=np.random.default_rng(0)
         )
         synopsis = PriView(1e-6, design=DESIGN, seed=0).fit(dataset)
@@ -148,7 +148,7 @@ class TestResidualFallback:
     @pytest.fixture
     def synopsis(self):
         rng = np.random.default_rng(5)
-        dataset = BinaryDataset.random(800, 6, density=0.5, rng=rng)
+        dataset = Dataset.random(800, 6, density=0.5, rng=rng)
         return PriView(2.0, design=DESIGN, seed=3).fit(dataset)
 
     @pytest.mark.parametrize("exc", [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import BinaryDataset, PriView
+from repro import Dataset, PriView
 from repro.baselines.direct import DirectMethod
 from repro.baselines.fourier import FourierMethod
 from repro.covering.repository import best_design

@@ -18,14 +18,14 @@ import pytest
 from repro.baselines.fourier import fourier_coefficient_count, walsh_hadamard
 from repro.covering.repository import best_design
 from repro.marginals.contingency import FullContingencyTable
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 
 
 def _neighbours(rng, n=200, d=8):
     """A dataset and a neighbour with one extra tuple."""
-    base = BinaryDataset.random(n, d, rng=rng)
+    base = Dataset.random(n, d, rng=rng)
     extra = (rng.random(d) < 0.5).astype(np.uint8)
-    grown = BinaryDataset(np.vstack([base.data, extra]))
+    grown = Dataset(np.vstack([base.data, extra]))
     return base, grown
 
 

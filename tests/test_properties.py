@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.consistency import make_consistent
 from repro.core.priview import PriView
 from repro.covering.design import CoveringDesign
-from repro.marginals.dataset import BinaryDataset
+from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 
 DESIGN = CoveringDesign(
@@ -26,10 +26,10 @@ DESIGN = CoveringDesign(
 )
 
 
-def _dataset(seed: int, n: int = 800) -> BinaryDataset:
+def _dataset(seed: int, n: int = 800) -> Dataset:
     rng = np.random.default_rng(seed)
     probs = rng.random(6)
-    return BinaryDataset(
+    return Dataset(
         (rng.random((n, 6)) < probs).astype(np.uint8)
     )
 
