@@ -513,8 +513,8 @@ def _cmd_query(args) -> int:
     if args.url:
         from repro.serve.client import QueryClient
 
-        client = QueryClient(args.url)
-        payloads = client.batch(queries, method=args.method)["answers"]
+        with QueryClient(args.url) as client:
+            payloads = client.batch(queries, method=args.method)["answers"]
     else:
         from repro.core.serialization import load_synopsis
         from repro.serve.engine import QueryEngine
@@ -823,7 +823,8 @@ def _cmd_obs(args) -> int:
     if args.url:
         from repro.serve.client import QueryClient
 
-        text = QueryClient(args.url).metrics()
+        with QueryClient(args.url) as client:
+            text = client.metrics()
     else:
         from repro.obs.exporters import read_metrics_snapshots
 
