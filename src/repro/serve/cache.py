@@ -15,6 +15,13 @@ properties matter under concurrency:
 The implementation is stdlib-only (``OrderedDict`` + ``threading``)
 and value-agnostic; hit/miss/coalesced/eviction tallies are kept for
 ``/stats``.
+
+A cache built with a :class:`SupersetIndex` also answers "the smallest
+cached entry whose attribute set contains this one" (the serving
+engine's *derived* path) without scanning its entries: the index maps
+each ``(tag, attribute)`` to the keys that contain it and moves with
+every insert, eviction and :meth:`SingleFlightLRU.clear` under the
+cache's own lock.
 """
 
 from __future__ import annotations
@@ -36,13 +43,79 @@ class _InFlight:
         self.error: BaseException | None = None
 
 
-class SingleFlightLRU:
-    """Thread-safe bounded LRU with request coalescing."""
+def _drop(postings: dict, index_key, key) -> None:
+    """Remove ``key`` from one posting set, deleting the set once empty."""
+    keys = postings.get(index_key)
+    if keys is not None:
+        keys.discard(key)
+        if not keys:
+            del postings[index_key]
 
-    def __init__(self, capacity: int = 1024):
+
+class SupersetIndex:
+    """Attribute → keys index over ``(attrs, tag)`` cache keys.
+
+    ``attrs`` is a sorted tuple of attribute ids and ``tag`` groups
+    keys that may stand in for one another (the engine uses the
+    reconstruction method).  :meth:`supersets` intersects the posting
+    sets of the query's attributes, smallest first, so its cost follows
+    the rarest attribute's posting set, not the number of keys.  Not
+    thread-safe on its own: the owning :class:`SingleFlightLRU` calls
+    it under its lock.
+    """
+
+    __slots__ = ("_postings", "_tagged")
+
+    def __init__(self):
+        self._postings: dict[tuple, set] = {}
+        # every key per tag: the empty attribute set's supersets
+        self._tagged: dict = {}
+
+    def add(self, key) -> None:
+        attrs, tag = key
+        self._tagged.setdefault(tag, set()).add(key)
+        for a in attrs:
+            self._postings.setdefault((tag, a), set()).add(key)
+
+    def discard(self, key) -> None:
+        attrs, tag = key
+        _drop(self._tagged, tag, key)
+        for a in attrs:
+            _drop(self._postings, (tag, a), key)
+
+    def clear(self) -> None:
+        self._postings.clear()
+        self._tagged.clear()
+
+    def supersets(self, attrs, tag) -> set:
+        """The indexed ``tag`` keys whose attrs contain ``attrs``
+        (``attrs``'s own key included, when indexed)."""
+        if not attrs:
+            return set(self._tagged.get(tag, ()))
+        postings = []
+        for a in attrs:
+            keys = self._postings.get((tag, a))
+            if keys is None:
+                return set()
+            postings.append(keys)
+        postings.sort(key=len)
+        return postings[0].intersection(*postings[1:])
+
+
+class SingleFlightLRU:
+    """Thread-safe bounded LRU with request coalescing.
+
+    With ``index`` (a :class:`SupersetIndex`; keys must then be
+    ``(attrs, tag)`` pairs) the cache keeps it in step with its
+    entries and serves :meth:`smallest_superset`.
+    """
+
+    def __init__(self, capacity: int = 1024,
+                 index: SupersetIndex | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
+        self._index = index
         self._lock = threading.Lock()
         self._data: OrderedDict = OrderedDict()
         self._inflight: dict = {}
@@ -72,6 +145,31 @@ class SingleFlightLRU:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            if self._index is not None:
+                self._index.clear()
+
+    def smallest_superset(self, attrs, tag):
+        """``(key, value)`` of the cached ``tag`` entry with the fewest
+        attributes containing ``attrs``, or None.
+
+        Ties go to the least recently used entry — the first one
+        :meth:`items` lists — and only a tie walks the recency order.
+        ``attrs``'s own entry, when cached, is the unique smallest.
+        No recency effect.  Needs the cache to have been built with an
+        ``index``.
+        """
+        with self._lock:
+            keys = self._index.supersets(attrs, tag)
+            if not keys:
+                return None
+            size = min(len(key[0]) for key in keys)
+            tied = [key for key in keys if len(key[0]) == size]
+            if len(tied) == 1:
+                (key,) = tied
+            else:
+                tied = set(tied)
+                key = next(k for k in self._data if k in tied)
+            return key, self._data[key]
 
     def stats(self) -> dict:
         with self._lock:
@@ -131,9 +229,13 @@ class SingleFlightLRU:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
+            if self._index is not None:
+                self._index.add(key)
             while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+                evicted, _ = self._data.popitem(last=False)
                 self.evictions += 1
+                if self._index is not None:
+                    self._index.discard(evicted)
             self._inflight.pop(key, None)
         flight.event.set()
         return value, False

@@ -52,7 +52,7 @@ from repro.serve.planner import (
     PATH_SOLVED,
     QueryPlanner,
 )
-from repro.serve.cache import SingleFlightLRU
+from repro.serve.cache import SingleFlightLRU, SupersetIndex
 
 DEFAULT_CACHE_SIZE = 1024
 DEFAULT_WORKERS = 8
@@ -186,7 +186,10 @@ class QueryEngine:
         self.derive_from_cache = derive_from_cache
         self._views: list[MarginalTable] = list(getattr(source, "views", ()) or ())
         self._planner = QueryPlanner(self._views, source.num_attributes)
-        self._cache = SingleFlightLRU(cache_size)
+        # The index answers the derived path's "smallest cached
+        # superset" without a scan; it holds keys only, never the
+        # engine, so a swapped-out engine is freed by refcount alone.
+        self._cache = SingleFlightLRU(cache_size, index=SupersetIndex())
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -222,12 +225,6 @@ class QueryEngine:
             for mode in ("single", "batch")
         }
         self._fallbacks = 0
-        # Largest arity ever cached, per method — a monotone upper
-        # bound (evictions never shrink it).  The derived path needs a
-        # cached *strict* superset, so when no cached entry beats the
-        # target's arity the per-miss cache scan is skipped entirely;
-        # overcounting only costs an occasional unnecessary scan.
-        self._max_cached_arity: dict[str, int] = {}
         # Lazily-built per-synopsis residual coefficient index: the
         # first residual solve pays the one-time view transforms, every
         # later solve is O(2**k) lookups (see ResidualIndex).
@@ -372,13 +369,24 @@ class QueryEngine:
             )
         return method
 
-    def _cached_supersets(self, method: str) -> dict:
-        """Completed same-method reconstructions, attrs → table."""
-        return {
-            key[0]: entry.table
-            for key, entry in self._cache.items()
-            if key[1] == method
-        }
+    def _plan(self, target: tuple[int, ...], method: str):
+        """Plan one uncached key; the cache's superset index is asked
+        only when no view covers ``target``."""
+        if not self.derive_from_cache:
+            return self._planner.plan(target, method)
+        return self._planner.plan(
+            target, method,
+            find_superset=lambda attrs: self._cached_parent(attrs, method),
+        )
+
+    def _cached_parent(self, target: tuple[int, ...], method: str):
+        """The smallest completed same-method superset of ``target``
+        as ``(attrs, table)``, ties to the least recently used."""
+        found = self._cache.smallest_superset(target, method)
+        if found is None:
+            return None
+        (attrs, _), entry = found
+        return attrs, entry.table
 
     def _submit_answer(self, attrs, method: str, wait_timeout,
                        presolved: MarginalTable | None = None):
@@ -461,16 +469,12 @@ class QueryEngine:
     def _compute(self, target: tuple[int, ...], method: str,
                  presolved: MarginalTable | None = None) -> _CacheEntry:
         """Execute the plan for one cache miss (single-flight leader)."""
-        cached = (
-            self._cached_supersets(method)
-            if self._may_derive(method, target) else None
-        )
-        plan = self._planner.plan(target, method, cached)
+        plan = self._plan(target, method)
         with obs.span(f"serve.compute.{plan.path}"):
             if plan.path == PATH_COVERED:
                 table = self._view_by_attrs[plan.source].project(target)
             elif plan.path == PATH_DERIVED:
-                table = cached[plan.source].project(target)
+                table = plan.parent.project(target)
             elif self._views:
                 # A stacked batch solve may have produced this table
                 # already; otherwise solve here (with fallback).
@@ -480,26 +484,7 @@ class QueryEngine:
             else:
                 # Viewless source: the mechanism answers directly.
                 table = self.source.marginal(target)
-        self._note_cached_arity(method, len(target))
         return _CacheEntry(table=table, path=plan.path, source=plan.source)
-
-    def _may_derive(self, method: str, target: tuple[int, ...]) -> bool:
-        """Whether a cached strict superset could exist for ``target``.
-
-        A concurrent leader may have cached a superset it hasn't
-        recorded yet; that race only downgrades one derivation to a
-        solve, never the answer.
-        """
-        return (
-            self.derive_from_cache
-            and self._max_cached_arity.get(method, 0) > len(target)
-        )
-
-    def _note_cached_arity(self, method: str, arity: int) -> None:
-        if arity > self._max_cached_arity.get(method, 0):
-            with self._stats_lock:
-                if arity > self._max_cached_arity.get(method, 0):
-                    self._max_cached_arity[method] = arity
 
     def _residual_solver(self) -> ResidualIndex:
         """The per-synopsis coefficient index, built on first use."""
@@ -565,12 +550,7 @@ class QueryEngine:
             if self._cache.get(key) is not None:
                 continue
             target, method = key
-            cached = (
-                self._cached_supersets(method)
-                if self._may_derive(method, target) else None
-            )
-            plan = self._planner.plan(target, method, cached)
-            if plan.path == PATH_SOLVED:
+            if self._plan(target, method).path == PATH_SOLVED:
                 groups.setdefault(method, []).append(key)
         presolved: dict[tuple[tuple[int, ...], str], MarginalTable] = {}
         for method, group in groups.items():

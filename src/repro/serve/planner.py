@@ -17,12 +17,17 @@ ways, in increasing cost order:
   max-entropy by default).
 
 The planner only classifies; the :mod:`repro.serve.engine` executes
-the plan and owns the cache the *derived* path reads from.
+the plan and owns the cache the *derived* path reads from.  The derived
+path takes the smallest cached superset (fewest attributes, so the
+cheapest projection), ties to the least recently used entry; a cached
+entry equal to the target is not "derived" from itself.  The cache is
+consulted only once no view covers the target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 
 from repro.exceptions import DimensionError, QueryError
 from repro.marginals.attrs import AttrSet
@@ -53,12 +58,38 @@ class QueryPlan:
         The attrs of the view (``covered``) or cached marginal
         (``derived``) the answer is projected from; None for
         ``solved``.
+    parent:
+        The cached table named by ``source`` on the ``derived`` path,
+        held so eviction between planning and projecting cannot lose
+        it; None otherwise.
     """
 
     attrs: tuple[int, ...]
     method: str
     path: str
     source: tuple[int, ...] | None = None
+    parent: MarginalTable | None = field(default=None, repr=False, compare=False)
+
+
+#: ``target -> (attrs, table)`` of the smallest cached superset of
+#: ``target`` (ties to the least recently used), or None.
+SupersetLookup = Callable[
+    [tuple[int, ...]], "tuple[tuple[int, ...], MarginalTable] | None"
+]
+
+
+def _scan_supersets(
+    target: tuple[int, ...], cached: Mapping[tuple[int, ...], MarginalTable]
+) -> tuple[tuple[int, ...], MarginalTable] | None:
+    """The :data:`SupersetLookup` rule over a ``{attrs: table}`` mapping
+    by scanning it: ties go to the first superset in iteration order
+    (an LRU snapshot lists the least recently used first)."""
+    target_set = set(target)
+    best: tuple[int, ...] | None = None
+    for attrs in cached:
+        if target_set.issubset(attrs) and (best is None or len(attrs) < len(best)):
+            best = attrs
+    return None if best is None else (best, cached[best])
 
 
 class QueryPlanner:
@@ -93,13 +124,16 @@ class QueryPlanner:
         self,
         attrs,
         method: str,
-        cached_supersets: dict[tuple[int, ...], MarginalTable] | None = None,
+        cached_supersets: Mapping[tuple[int, ...], MarginalTable] | None = None,
+        find_superset: SupersetLookup | None = None,
     ) -> QueryPlan:
         """Plan the query, preferring covered > derived > solved.
 
-        ``cached_supersets`` is a snapshot of the engine's completed
-        reconstructions for ``method`` (attrs → table); the smallest
-        superset wins, minimising projection cost.
+        The derived path's candidates are the completed same-method
+        reconstructions, given either as a ``{attrs: table}`` snapshot
+        (``cached_supersets``, scanned) or as a lookup
+        (``find_superset``, the engine's attribute index).  Either is
+        consulted only when no view covers the target.
         """
         target = self.validate(attrs)
         target_mask = 0
@@ -108,14 +142,12 @@ class QueryPlanner:
         for view_mask, view_attrs in self._view_masks:
             if target_mask & view_mask == target_mask:
                 return QueryPlan(target, method, PATH_COVERED, view_attrs)
-        if cached_supersets:
-            target_set = set(target)
-            best: tuple[int, ...] | None = None
-            for cached_attrs in cached_supersets:
-                if target_set.issubset(cached_attrs) and (
-                    best is None or len(cached_attrs) < len(best)
-                ):
-                    best = cached_attrs
-            if best is not None and best != target:
-                return QueryPlan(target, method, PATH_DERIVED, best)
+        if find_superset is not None:
+            found = find_superset(target)
+        elif cached_supersets:
+            found = _scan_supersets(target, cached_supersets)
+        else:
+            found = None
+        if found is not None and found[0] != target:
+            return QueryPlan(target, method, PATH_DERIVED, found[0], found[1])
         return QueryPlan(target, method, PATH_SOLVED, None)

@@ -94,6 +94,12 @@ class _Handler(BaseHTTPRequestHandler):
     # for the client's delayed ACK of the headers: about 40 ms per
     # request on a kept-alive connection.
     disable_nagle_algorithm = True
+    # Seconds a kept-alive connection may sit between requests (or
+    # stall mid-request) before the handler closes it and its thread
+    # exits; without it every connection a client never closes pins a
+    # handler thread until shutdown.  QueryClient retries a reused
+    # connection the server closed while idle.
+    timeout = 60.0
 
     # Per-request trace state (reset in _handle; one handler instance
     # serves a keep-alive connection sequentially, so plain instance

@@ -100,8 +100,8 @@ def test_residual_is_a_request_error_not_a_fallback(synopsis):
     small, _ = _uncovered_with_superset(synopsis)
     with obs.session(ledger=False) as sess:
         engine = QueryEngine(synopsis)
-        with MarginalServer(engine, port=0) as server:
-            client = QueryClient(server.url)
+        with MarginalServer(engine, port=0) as server, \
+                QueryClient(server.url) as client:
             with pytest.raises(RemoteQueryError) as caught:
                 client.marginal(small, method="residual")
             with pytest.raises(RemoteQueryError) as batch:

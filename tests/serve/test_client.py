@@ -126,6 +126,19 @@ class TestConnectionReuse:
             assert client.healthz()["status"] == "ok"
         assert len(accepted) == 2
 
+    def test_handlers_time_out_idle_connections(self, server, monkeypatch):
+        # a fixed idle timeout, so no kept-alive connection pins a
+        # handler thread until shutdown
+        assert 0 < _Handler.timeout <= 300
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        with socket.create_connection(server.address, timeout=5) as sock:
+            # the server closes the idle connection: EOF, not a timeout
+            assert sock.recv(1) == b""
+        with server._lock:
+            assert server._drained.wait_for(
+                lambda: not server._connections, timeout=5
+            )
+
     def test_no_answers_after_shutdown(self, chain_synopsis):
         server = MarginalServer(QueryEngine(chain_synopsis), port=0).start()
         with QueryClient(server.url) as client:

@@ -23,7 +23,8 @@ def server(chain_synopsis):
 
 @pytest.fixture
 def client(server):
-    return QueryClient(server.url, timeout=10.0)
+    with QueryClient(server.url, timeout=10.0) as client:
+        yield client
 
 
 class TestEndpoints:
@@ -80,7 +81,8 @@ def test_per_dataset_stats_answers_get_and_post(tmp_path, chain_synopsis, verb):
     store = SynopsisStore(tmp_path / "store")
     store.publish("chain", chain_synopsis)
     with serve_store(store, port=0) as srv:
-        QueryClient(srv.url, dataset="chain").marginal((0, 1))
+        with QueryClient(srv.url, dataset="chain") as client:
+            client.marginal((0, 1))
         request = urllib.request.Request(
             f"{srv.url}/v1/d/chain/stats",
             data=b"{}" if verb == "POST" else None,
@@ -101,6 +103,7 @@ class TestErrors:
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/nope", timeout=5)
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_invalid_json_400(self, server):
@@ -111,8 +114,9 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 400
-        detail = json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            detail = json.loads(error.read())["error"]
         assert detail["type"] == "QueryError"
 
     def test_bad_attrs_400(self, client):
@@ -128,6 +132,7 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=5)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_timeout_504(self, chain_synopsis, monkeypatch):
@@ -142,8 +147,8 @@ class TestErrors:
         monkeypatch.setattr(engine_module, "reconstruct", slow)
         engine = QueryEngine(chain_synopsis, workers=2)
         with MarginalServer(engine, port=0, request_timeout=0.05) as srv:
-            client = QueryClient(srv.url, timeout=10.0)
-            with pytest.raises(QueryTimeoutError):
+            with QueryClient(srv.url, timeout=10.0) as client, \
+                    pytest.raises(QueryTimeoutError):
                 client.marginal((0, 4))
 
 
@@ -152,7 +157,8 @@ class TestLifecycle:
         engine = QueryEngine(chain_synopsis)
         server = MarginalServer(engine, port=0).start()
         url = server.url
-        QueryClient(url).healthz()
+        with QueryClient(url) as client:
+            client.healthz()
         server.shutdown()
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             urllib.request.urlopen(f"{url}/healthz", timeout=1)

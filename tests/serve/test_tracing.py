@@ -75,8 +75,8 @@ class TestEndToEnd:
             engine = QueryEngine(chain_synopsis, workers=4)
             with MarginalServer(
                 engine, port=0, trace_sample_rate=1.0
-            ) as server:
-                yield sess, server, QueryClient(server.url, trace=True)
+            ) as server, QueryClient(server.url, trace=True) as client:
+                yield sess, server, client
 
     def test_one_trace_id_everywhere(self, served):
         sess, server, client = served
@@ -136,8 +136,8 @@ class TestEndToEnd:
             handler.wfile = SpyWriter(handler.wfile)
 
         monkeypatch.setattr(_Handler, "setup", spying_setup)
-        fresh = QueryClient(server.url, trace=True)  # a new connection
-        payload = fresh.marginal(UNCOVERED)
+        with QueryClient(server.url, trace=True) as fresh:  # a new connection
+            payload = fresh.marginal(UNCOVERED)
         # the body is the last write of the response
         assert payload["trace"]["request_id"] in logged_at_write[-1]
 
@@ -190,8 +190,8 @@ class TestEndToEnd:
             with MarginalServer(
                 engine, port=0, trace_sample_rate=0.0
             ) as server:
-                client = QueryClient(server.url)  # no client tracing either
-                payload = client.marginal(UNCOVERED)
+                with QueryClient(server.url) as client:  # no client tracing either
+                    payload = client.marginal(UNCOVERED)
                 assert payload["trace"]["sampled"] is False
                 assert payload["trace"]["request_id"]
                 assert server.access_log()[-1]["sampled"] is False
@@ -225,8 +225,9 @@ class TestTypedErrors:
     @pytest.fixture
     def client(self, chain_synopsis):
         engine = QueryEngine(chain_synopsis, workers=2)
-        with MarginalServer(engine, port=0) as server:
-            yield QueryClient(server.url)
+        with MarginalServer(engine, port=0) as server, \
+                QueryClient(server.url) as client:
+            yield client
 
     def test_remote_error_carries_structure(self, client):
         with pytest.raises(RemoteQueryError) as excinfo:

@@ -125,8 +125,8 @@ class TestStoreServer:
     ):
         """The acceptance check: a covered marginal for two different
         published datasets, each bitwise equal to its own synopsis."""
-        with serve_store(populated_store, port=0) as server:
-            client = QueryClient(server.url)
+        with serve_store(populated_store, port=0) as server, \
+                QueryClient(server.url) as client:
             for name, synopsis in (
                 ("alpha", alpha_synopsis), ("msnbc", beta_synopsis)
             ):
@@ -138,8 +138,8 @@ class TestStoreServer:
                 )
 
     def test_datasets_listing_and_health(self, populated_store):
-        with serve_store(populated_store, port=0) as server:
-            client = QueryClient(server.url)
+        with serve_store(populated_store, port=0) as server, \
+                QueryClient(server.url) as client:
             names = [d["name"] for d in client.datasets()]
             assert names == ["alpha", "msnbc"]
             health = client.healthz()
@@ -147,8 +147,8 @@ class TestStoreServer:
             assert health["datasets"] == 2
 
     def test_unknown_dataset_404(self, populated_store):
-        with serve_store(populated_store, port=0) as server:
-            client = QueryClient(server.url)
+        with serve_store(populated_store, port=0) as server, \
+                QueryClient(server.url) as client:
             with pytest.raises(QueryError, match="404"):
                 client.marginal((0, 1), dataset="nope")
 
@@ -157,21 +157,21 @@ class TestStoreServer:
     ):
         from repro.serve import QueryEngine
 
-        with serve_store(populated_store, port=0) as server:
-            client = QueryClient(server.url)
+        with serve_store(populated_store, port=0) as server, \
+                QueryClient(server.url) as client:
             with pytest.raises(QueryError, match="store"):
                 client.marginal((0, 1))  # no dataset on a store server
         engine = QueryEngine(alpha_synopsis)
-        with MarginalServer(engine, port=0) as server:
-            client = QueryClient(server.url)
+        with MarginalServer(engine, port=0) as server, \
+                QueryClient(server.url) as client:
             with pytest.raises(QueryError, match="single source"):
                 client.marginal((0, 1), dataset="alpha")
             with pytest.raises(QueryError, match="single source"):
                 client.reload()
 
     def test_client_default_dataset(self, populated_store, alpha_synopsis):
-        with serve_store(populated_store, port=0) as server:
-            client = QueryClient(server.url, dataset="alpha")
+        with serve_store(populated_store, port=0) as server, \
+                QueryClient(server.url, dataset="alpha") as client:
             table = client.marginal_table((0, 1))
             assert np.array_equal(
                 table.counts, alpha_synopsis.marginal((0, 1)).counts
@@ -181,8 +181,8 @@ class TestStoreServer:
 
     def test_per_dataset_counters(self, populated_store):
         with obs.session() as sess:
-            with serve_store(populated_store, port=0) as server:
-                client = QueryClient(server.url)
+            with serve_store(populated_store, port=0) as server, \
+                    QueryClient(server.url) as client:
                 client.marginal((0, 1), dataset="alpha")
                 client.marginal((0, 1), dataset="alpha")
                 client.marginal((0, 1), dataset="msnbc")
@@ -194,8 +194,8 @@ class TestStoreServer:
         import json
         import urllib.request
 
-        with serve_store(populated_store, port=0) as server:
-            client = QueryClient(server.url)
+        with serve_store(populated_store, port=0) as server, \
+                QueryClient(server.url) as client:
             client.marginal((0, 1), dataset="alpha")
             request = urllib.request.Request(
                 f"{server.url}/v1/d/alpha/stats", data=b"{}",
@@ -222,18 +222,18 @@ class TestStoreServer:
             served: list[int] = [0] * 4
 
             def hammer(slot: int) -> None:
-                client = QueryClient(server.url, dataset="alpha")
-                while not stop.is_set() or served[slot] == 0:
-                    try:
-                        payload = client.marginal((0, 1))
-                    except Exception as exc:  # noqa: BLE001 - the assertion
-                        failures.append(f"{type(exc).__name__}: {exc}")
-                        return
-                    counts = np.asarray(payload["counts"]).tobytes()
-                    if counts not in expected:
-                        failures.append("answer matches no published version")
-                        return
-                    served[slot] += 1
+                with QueryClient(server.url, dataset="alpha") as client:
+                    while not stop.is_set() or served[slot] == 0:
+                        try:
+                            payload = client.marginal((0, 1))
+                        except Exception as exc:  # noqa: BLE001 - the assertion
+                            failures.append(f"{type(exc).__name__}: {exc}")
+                            return
+                        counts = np.asarray(payload["counts"]).tobytes()
+                        if counts not in expected:
+                            failures.append("answer matches no published version")
+                            return
+                        served[slot] += 1
 
             threads = [
                 threading.Thread(target=hammer, args=(slot,), daemon=True)
@@ -241,18 +241,20 @@ class TestStoreServer:
             ]
             for thread in threads:
                 thread.start()
-            control = QueryClient(server.url)
-            populated_store.publish("alpha", alpha_v2_synopsis)
-            summary = control.reload()
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30)
+            with QueryClient(server.url) as control:
+                populated_store.publish("alpha", alpha_v2_synopsis)
+                summary = control.reload()
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
 
-            assert summary["swapped"] == [{"from": "alpha@1", "to": "alpha@2"}]
-            assert not failures, failures[:5]
-            assert all(count > 0 for count in served), served
-            # post-swap answers come from the new version
-            post = np.asarray(control.marginal((0, 1), dataset="alpha")["counts"])
+                assert summary["swapped"] == [{"from": "alpha@1", "to": "alpha@2"}]
+                assert not failures, failures[:5]
+                assert all(count > 0 for count in served), served
+                # post-swap answers come from the new version
+                post = np.asarray(
+                    control.marginal((0, 1), dataset="alpha")["counts"]
+                )
             assert np.array_equal(
                 post, alpha_v2_synopsis.marginal((0, 1)).counts
             )

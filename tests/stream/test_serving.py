@@ -34,8 +34,8 @@ def _release(store, rng, n=450, size=150, dataset="clicks"):
 # ----------------------------------------------------------------------
 def test_windows_routes_over_http(store, rng):
     _release(store, rng)
-    with serve_store(store, port=0) as server:
-        client = QueryClient(server.url, dataset="clicks")
+    with serve_store(store, port=0) as server, \
+            QueryClient(server.url, dataset="clicks") as client:
         windows = client.windows()
         assert [w["index"] for w in windows] == [0, 1, 2]
         payload = client.window_marginal((0, 1), last=2)
@@ -49,8 +49,7 @@ def test_windows_routes_over_http(store, rng):
 
 def test_windows_routes_error_mapping(store, rng):
     _release(store, rng)
-    with serve_store(store, port=0) as server:
-        client = QueryClient(server.url)
+    with serve_store(store, port=0) as server, QueryClient(server.url) as client:
         # Listing an unknown dataset is empty, not an error.
         assert client.windows(dataset="nope") == []
         with pytest.raises(RemoteQueryError) as excinfo:
@@ -69,8 +68,8 @@ def test_single_source_server_rejects_window_routes(tmp_path, store, rng):
     from repro.core.serialization import save_synopsis
 
     save_synopsis(store.load_version(store.resolve("clicks")), path)
-    with serve_source(path, port=0) as server:
-        client = QueryClient(server.url, dataset="clicks")
+    with serve_source(path, port=0) as server, \
+            QueryClient(server.url, dataset="clicks") as client:
         with pytest.raises(RemoteQueryError) as excinfo:
             client.windows()
         assert excinfo.value.status == 400
@@ -129,8 +128,8 @@ def test_watch_interval_rejects_negative(store):
 
 def test_watch_picks_up_new_windows_and_stamps_swap(store, rng):
     _release(store, rng, n=150)
-    with serve_store(store, port=0, watch=True) as server:
-        client = QueryClient(server.url, dataset="clicks")
+    with serve_store(store, port=0, watch=True) as server, \
+            QueryClient(server.url, dataset="clicks") as client:
         assert client.stats()["hosted"] == {}
         client.marginal((0,))
         assert client.stats()["hosted"]["clicks"]["version"] == 1
@@ -160,18 +159,18 @@ def test_rapid_publish_churn_drops_nothing(store, rng):
         url = server.url
 
         def read(slot: int) -> None:
-            client = QueryClient(url, dataset="clicks")
-            while not stop.is_set():
-                try:
-                    payload = client.marginal((0, 1))
-                    versions_seen[slot].add(payload["total"])
-                    stats = client.stats()
-                    hosted = stats["hosted"].get("clicks")
-                    if hosted:
-                        versions_seen[slot].add(hosted["version"])
-                except BaseException as exc:  # noqa: BLE001 - recorded
-                    failures.append(exc)
-                    return
+            with QueryClient(url, dataset="clicks") as client:
+                while not stop.is_set():
+                    try:
+                        payload = client.marginal((0, 1))
+                        versions_seen[slot].add(payload["total"])
+                        stats = client.stats()
+                        hosted = stats["hosted"].get("clicks")
+                        if hosted:
+                            versions_seen[slot].add(hosted["version"])
+                    except BaseException as exc:  # noqa: BLE001 - recorded
+                        failures.append(exc)
+                        return
 
         threads = [
             threading.Thread(target=read, args=(slot,), daemon=True)

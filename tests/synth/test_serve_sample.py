@@ -78,7 +78,8 @@ class TestHttpSample:
     @pytest.fixture(scope="class")
     def client(self, server):
         host, port = server.address
-        return QueryClient(f"http://{host}:{port}")
+        with QueryClient(f"http://{host}:{port}") as client:
+            yield client
 
     def test_sample_codes(self, client, domain):
         payload = client.sample(16, seed=3)
