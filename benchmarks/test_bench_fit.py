@@ -1,13 +1,14 @@
-"""Benchmark the fit hot path: bit-sliced kernels vs. the seed path.
+"""Benchmark the fit hot path: bit-sliced kernels vs. unpacked extraction.
 
 Emits ``BENCH_fit.json`` — end-to-end ``PriView.fit`` wall time on a
-d=64, N=1M dataset for the legacy (uint8 bincount, sequential) path
-and the packed (bit-sliced popcount, worker-pool) path — the
-machine-readable trajectory later performance PRs diff against.  The
-acceptance bar: the packed + 8-worker fit is at least **5x** faster
-end-to-end, and both paths fit to synopses with identical view
-attribute sets and consistent totals (the noise streams legitimately
-differ — see the determinism contract in ``docs/PERFORMANCE.md``).
+d=64, N=1M dataset, serially and at every worker count up to
+``os.cpu_count()``, against the same fit with its marginals counted by
+``Dataset.marginal`` (uint8 gather + bincount; the ``legacy`` keys) —
+the machine-readable trajectory later performance PRs diff against.
+The acceptance bar: the default (serial) fit is at least **5x** faster
+end-to-end than the unpacked reference, and every worker count
+releases bit-identical views (the determinism contract in
+``docs/PERFORMANCE.md``).
 
 d=64 ships no bundled covering design and greedy construction at that
 dimension costs more than the fits being measured, so the benchmark
@@ -24,6 +25,7 @@ import numpy as np
 from repro import obs
 from repro.core.priview import PriView
 from repro.covering.repository import construct_design
+from repro.kernels.fit import generate_noisy_views
 from repro.marginals.dataset import Dataset
 
 N = 1_000_000
@@ -31,6 +33,8 @@ D = 64
 EPSILON = 1.0
 REPEATS = 3
 MIN_SPEEDUP = 5.0
+#: pool widths timed besides the default serial fit; none above the CPUs
+WORKER_COUNTS = [w for w in (2, 4, 8) if w <= (os.cpu_count() or 1)]
 
 
 def _dataset() -> Dataset:
@@ -49,13 +53,22 @@ def _dataset() -> Dataset:
     return Dataset(np.concatenate(rows), name="bench-fit")
 
 
-def _time_fits(make_mechanism, dataset, repeats=REPEATS):
-    times, synopsis = [], None
+def _unpacked_fit(seed, dataset, design):
+    """The views of a seeded fit, every marginal counted by ``Dataset.marginal``."""
+    views = generate_noisy_views(
+        dataset, design.blocks, EPSILON, design.num_blocks,
+        root_seed=np.random.SeedSequence(seed),
+    )
+    return PriView(EPSILON, design=design, seed=seed).post_process(views)
+
+
+def _time_fits(fit, repeats=REPEATS):
+    times, views = [], None
     for seed in range(repeats):
         start = perf_counter()
-        synopsis = make_mechanism(seed).fit(dataset)
+        views = fit(seed)
         times.append(perf_counter() - start)
-    return times, synopsis
+    return times, views
 
 
 def test_bench_fit_packed_speedup():
@@ -63,43 +76,43 @@ def test_bench_fit_packed_speedup():
     design = construct_design(D, 8, 2)
 
     # Warm everything amortised across fits out of the measurement:
-    # projection/constraint caches (both paths) and the cached packed
-    # form (packed path pays the one-off pack cost here).
-    PriView(EPSILON, design=design, seed=0).fit(dataset)
+    # projection/constraint caches and the cached packed form (the
+    # first packed fit would pay the one-off pack cost).
+    _unpacked_fit(0, dataset, design)
     pack_start = perf_counter()
     dataset.packed()
     pack_seconds = perf_counter() - pack_start
-    PriView(EPSILON, design=design, seed=0, packed=True, workers=8).fit(dataset)
+    PriView(EPSILON, design=design, seed=0).fit(dataset)
 
-    legacy_times, legacy_synopsis = _time_fits(
-        lambda seed: PriView(EPSILON, design=design, seed=seed), dataset
+    legacy_times, legacy_views = _time_fits(
+        lambda seed: _unpacked_fit(seed, dataset, design)
     )
+    packed_times, by_workers = {}, {}
     with obs.session() as sess:
-        packed_times, packed_synopsis = _time_fits(
-            lambda seed: PriView(
-                EPSILON, design=design, seed=seed, packed=True, workers=8
-            ),
-            dataset,
-        )
+        for workers in [None] + WORKER_COUNTS:
+            packed_times[str(workers or 1)], by_workers[workers] = _time_fits(
+                lambda seed: PriView(
+                    EPSILON, design=design, seed=seed, workers=workers
+                ).fit(dataset).views
+            )
         sess.ledger.check()
         snapshot = sess.metrics.snapshot()
 
     legacy = float(np.median(legacy_times))
-    packed = float(np.median(packed_times))
+    packed = float(np.median(packed_times["1"]))
     speedup = legacy / packed
 
-    # Same release surface: identical blocks, near-identical totals
-    # (different noise streams over the same exact counts).
-    assert [v.attrs for v in packed_synopsis.views] == [
-        v.attrs for v in legacy_synopsis.views
-    ]
+    # One release whatever the pool width or the extraction kernel.
+    for views in list(by_workers.values()) + [legacy_views]:
+        for a, b in zip(views, by_workers[None]):
+            assert a.attrs == b.attrs and np.array_equal(a.counts, b.counts)
     total = float(dataset.num_records)
-    assert abs(packed_synopsis.total_count() - total) / total < 0.01
-    assert snapshot["gauges"]["fit.workers"] == 8
+    released = float(by_workers[None][0].counts.sum())
+    assert abs(released - total) / total < 0.01
     assert snapshot["counters"]["kernel.packed_marginals"] >= REPEATS * design.num_blocks
 
     assert speedup >= MIN_SPEEDUP, (
-        f"packed fit {packed:.3f}s vs legacy {legacy:.3f}s — "
+        f"packed fit {packed:.3f}s vs unpacked {legacy:.3f}s — "
         f"only {speedup:.2f}x, need {MIN_SPEEDUP}x"
     )
 
@@ -112,12 +125,16 @@ def test_bench_fit_packed_speedup():
         "views": design.num_blocks,
         "repeats": REPEATS,
         "cpu_count": os.cpu_count(),
-        "workers": 8,
+        "workers": [1] + WORKER_COUNTS,
         "pack_seconds": pack_seconds,
         "legacy_fit_seconds": legacy_times,
-        "packed_fit_seconds": packed_times,
+        "packed_fit_seconds": packed_times["1"],
+        "packed_fit_seconds_by_workers": packed_times,
         "legacy_median_s": legacy,
         "packed_median_s": packed,
+        "packed_median_s_by_workers": {
+            w: float(np.median(t)) for w, t in packed_times.items()
+        },
         "legacy_ms_per_view": 1e3 * legacy / design.num_blocks,
         "packed_ms_per_view": 1e3 * packed / design.num_blocks,
         "speedup_packed_vs_legacy": speedup,

@@ -13,10 +13,12 @@ Quickstart
 >>> synopsis = PriView(epsilon=1.0, seed=1).fit(dataset)
 >>> table = synopsis.marginal((0, 3, 7, 11))  # private 4-way marginal
 
-Large fits run the same pipeline on bit-sliced popcount kernels and a
-deterministic worker pool (``docs/PERFORMANCE.md``)::
+Every fit extracts its views on bit-sliced popcount kernels and draws
+each view's noise from its own seeded stream; ``workers`` fans large
+fits over a thread pool without changing the release
+(``docs/PERFORMANCE.md``)::
 
-    PriView(epsilon=1.0, seed=1, packed=True, workers=8).fit(dataset)
+    PriView(epsilon=1.0, seed=1, workers=8).fit(dataset)
 
 Attribute sets are canonicalised everywhere by :class:`AttrSet`, and
 every mechanism — PriView and each baseline — satisfies the
@@ -62,7 +64,7 @@ Package map
 from repro.core import PriView, PriViewSynopsis
 from repro.covering import CoveringDesign
 from repro.baselines.base import MarginalSource, Mechanism
-from repro.kernels import PackedDataset, fit_defaults, set_fit_defaults
+from repro.kernels import PackedDataset
 from repro.marginals import (
     AttrSet,
     Attribute,
@@ -94,8 +96,6 @@ __all__ = [
     "Synthesizer",
     "SyntheticRecords",
     "as_domain",
-    "fit_defaults",
-    "set_fit_defaults",
     "synthesize",
     "__version__",
 ]

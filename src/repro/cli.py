@@ -5,7 +5,6 @@ Examples::
     python -m repro list
     python -m repro run figure1 --scale quick
     python -m repro run figure1 --scale quick --trace
-    python -m repro run figure1 --scale medium --packed --workers 4
     python -m repro run figure2 --scale paper --seed 3 --log-level info
     python -m repro run all --scale medium --trace-out results/trace.jsonl
     python -m repro serve --synopsis synopsis.npz --port 8177
@@ -26,6 +25,9 @@ stage-timing tree, the pipeline counters, and a privacy-budget ledger
 audit whose per-fit epsilon totals are checked against the configured
 epsilon (see ``docs/OBSERVABILITY.md``).  ``run all`` keeps going past
 a failing experiment, logs the failure, and exits non-zero at the end.
+Every PriView fit in an experiment takes the one fit path: packed
+marginal extraction and one seeded noise stream per view
+(``docs/PERFORMANCE.md``), so ``run`` has no fit-tuning flags.
 
 ``serve`` exposes a saved synopsis over HTTP (``docs/SERVING.md``);
 ``query`` answers marginal queries against a saved synopsis file or a
@@ -81,16 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--log-level", choices=LEVELS, default=None,
         help="logging verbosity on stderr (default: warning)",
-    )
-    run_parser.add_argument(
-        "--packed", action="store_true",
-        help="extract marginals on the bit-sliced popcount kernels "
-        "(bitwise-identical results, see docs/PERFORMANCE.md)",
-    )
-    run_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan each PriView fit over N workers (per-view seeded "
-        "noise streams; synopsis independent of N)",
     )
 
     def telemetry_flags(p):
@@ -872,15 +864,6 @@ def main(argv=None) -> int:
     if args.command == "obs":
         return _cmd_obs(args)
     log = get_logger("cli")
-    kernel_defaults = {}
-    if args.workers is not None:
-        kernel_defaults["workers"] = args.workers
-    if args.packed:
-        kernel_defaults["packed"] = True
-    if kernel_defaults:
-        from repro.kernels import set_fit_defaults
-
-        set_fit_defaults(**kernel_defaults)
     targets = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     run_all = args.experiment == "all"
     tracing = args.trace or args.trace_out is not None

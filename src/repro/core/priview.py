@@ -19,18 +19,15 @@ cell-budget views (:func:`~repro.categorical.views.select_categorical_views`)
 for a dataset with ``arities``.
 
 The fit hot path (one exact ℓ-way marginal per view — the only step
-touching raw records) can run on the bit-sliced popcount kernels and
-a worker pool from :mod:`repro.kernels`::
+touching raw records) runs on the bit-plane popcount kernels of
+:mod:`repro.kernels`, and each view draws its noise from its own
+``SeedSequence.spawn`` child of the seed.  ``workers`` fans the views
+out over a thread pool and changes nothing but throughput: the
+synopsis is bit-identical for every worker count::
 
-    PriView(epsilon=1.0, seed=7, packed=True, workers=8).fit(dataset)
+    PriView(epsilon=1.0, seed=7, workers=8).fit(dataset)
 
-``packed=True`` alone changes *nothing* about the released synopsis
-(the packed marginal is bitwise identical and the noise stream is
-untouched).  Setting ``workers`` switches the noise to per-view
-``SeedSequence.spawn`` child streams: the synopsis is then
-bit-identical for any worker count (1, 2, 8, …) and backend, though
-different from the legacy ``workers=None`` sequential stream.  See
-``docs/PERFORMANCE.md``.
+See ``docs/PERFORMANCE.md`` for the determinism contract.
 """
 
 from __future__ import annotations
@@ -51,13 +48,11 @@ from repro.core.view_selection import (
     select_views,
 )
 from repro.covering.design import CoveringDesign
-from repro.exceptions import PrivacyBudgetError
-from repro.kernels import config as kernels_config
-from repro.kernels.fit import generate_noisy_views as _parallel_noisy_views
+from repro.exceptions import PrivacyBudgetError, ReproError
+from repro.kernels.fit import generate_noisy_views as _noisy_views
 from repro.kernels.packed import as_packed
 from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
-from repro.mechanisms.laplace import noisy_marginal
 
 
 class PriView:
@@ -92,23 +87,16 @@ class PriView:
     theta:
         Ripple threshold.
     seed:
-        Seeds the noise generator for reproducible experiments.
+        Seeds view selection and the per-view noise streams, for
+        reproducible experiments.
     packed:
-        Run marginal extraction on the bit-sliced popcount kernels
-        (:class:`repro.kernels.PackedDataset`).  Bitwise identical
-        output, typically ~10x faster extraction.  ``None`` (default)
-        inherits the process-wide default set through
-        :func:`repro.kernels.set_fit_defaults` (e.g. the CLI's
-        ``run --packed``).
+        Accepted for compatibility: ``None`` or ``True`` (extraction
+        always runs on the packed kernels); ``False`` raises
+        :class:`~repro.exceptions.ReproError`.
     workers:
-        ``None`` (default, possibly overridden by the process-wide
-        default): legacy sequential noise stream.  Any integer: fan
-        the views out over that many workers with per-view
-        ``SeedSequence.spawn`` streams — bit-identical for every
-        worker count, including 1.
-    backend:
-        Executor backend for the parallel path: ``auto`` (threads),
-        ``serial``, ``thread`` or ``process``.
+        Pool width for the per-view fan-out; ``None`` (default) runs
+        the views serially.  A throughput knob only: every value
+        releases the same synopsis.
     """
 
     name = "priview"
@@ -127,11 +115,11 @@ class PriView:
         seed: int | None = None,
         packed: bool | None = None,
         workers: int | None = None,
-        backend: str = "auto",
     ):
         if epsilon <= 0:
             raise PrivacyBudgetError(f"epsilon must be positive, got {epsilon}")
-        defaults = kernels_config.fit_defaults()
+        if packed is not None and not packed:
+            raise ReproError("PriView always extracts on the packed kernels")
         self.epsilon = float(epsilon)
         self.view_width = view_width
         self.strength = strength
@@ -141,9 +129,7 @@ class PriView:
         self.nonneg_rounds = nonneg_rounds
         self.theta = theta
         self.consistency = consistency
-        self.packed = defaults["packed"] if packed is None else bool(packed)
-        self.workers = defaults["workers"] if workers is None else workers
-        self.backend = backend
+        self.workers = workers
         self._rng = np.random.default_rng(seed)
         self._seed_seq = np.random.SeedSequence(seed)
 
@@ -181,30 +167,18 @@ class PriView:
     ) -> list[MarginalTable]:
         """Step 2: the only step that touches the private data.
 
-        With ``packed`` the exact marginals come off the bit-plane
-        popcount kernels (bitwise-identical counts); with ``workers``
-        set, views are fanned out with per-view child noise streams
-        (see the class docstring for the determinism contract).
+        Exact marginals come off the packed popcount kernels; view ``i``
+        adds noise from child stream ``i`` of one ``SeedSequence.spawn``
+        per call, so two fits of one instance draw different noise.
         """
         blocks = _blocks(design)
-        w = len(blocks)
-        source = as_packed(dataset) if self.packed else dataset
-        if self.workers is None:
-            obs.set_gauge("fit.workers", 1)
-            return [
-                noisy_marginal(
-                    source.marginal(block), self.epsilon, sensitivity=w, rng=self._rng
-                )
-                for block in blocks
-            ]
-        return _parallel_noisy_views(
-            source,
+        return _noisy_views(
+            as_packed(dataset),
             blocks,
             self.epsilon,
-            sensitivity=w,
+            sensitivity=len(blocks),
             root_seed=self._seed_seq,
             workers=self.workers,
-            backend=self.backend,
         )
 
     def post_process(self, views: list[MarginalTable]) -> list[MarginalTable]:
@@ -250,7 +224,6 @@ class PriView:
             blocks = _blocks(design)
             obs.set_gauge("priview.design_blocks", len(blocks))
             obs.set_gauge("priview.design_width", max(map(len, blocks), default=0))
-            obs.set_gauge("fit.packed", int(self.packed))
             with obs.span("noisy_views"):
                 views = self.generate_noisy_views(dataset, design)
             with obs.span("post_process"):

@@ -9,23 +9,18 @@ Three ingredients (see ``docs/PERFORMANCE.md`` for the full story):
   for both domain kinds and roughly an order of magnitude faster,
   streaming over chunks of records.
 * :class:`ParallelExecutor` + :func:`generate_noisy_views` — fans the
-  per-view work of ``PriView.fit`` out over threads or processes with
-  per-view ``SeedSequence.spawn`` child streams, so the synopsis is
+  per-view work of ``PriView.fit`` out over threads with per-view
+  ``SeedSequence.spawn`` child streams, so the synopsis is
   bit-identical for any worker count.
 * :mod:`repro.kernels.indexcache` — introspection over the shared
   subset→index-map caches every projection, consistency pass and
   constraint builder draws from.
-
-Front-ends set process-wide fit defaults through
-:func:`set_fit_defaults` (the CLI's ``run --workers/--packed``).
 """
 
-from repro.kernels.config import fit_defaults, set_fit_defaults
 from repro.kernels.executor import (
     BACKENDS,
     ParallelExecutor,
     resolve_workers,
-    spawn_generators,
     spawn_seed_sequences,
 )
 from repro.kernels.fit import generate_noisy_views
@@ -49,14 +44,11 @@ __all__ = [
     "as_packed",
     "bit_histogram",
     "plane_count",
-    "fit_defaults",
     "generate_noisy_views",
     "indexcache",
     "pack_columns",
     "popcount_words",
     "resolve_workers",
-    "set_fit_defaults",
-    "spawn_generators",
     "spawn_seed_sequences",
     "unpack_columns",
 ]

@@ -1,18 +1,12 @@
 """Deterministic fan-out for the fit hot loop.
 
-:class:`ParallelExecutor` maps a function over an item list with a
-serial, thread-pool or process-pool backend.  Determinism is owned by
-the *caller*, not the pool: work item ``i`` carries its own
-pre-assigned RNG stream (see :func:`spawn_seed_sequences`), so the
-result list is bit-identical for any worker count and any scheduling
-order — the contract ``tests/kernels/test_parallel_fit.py`` locks in.
-
-The process backend exists for multi-core hosts; it inherits the
-dataset via fork (no per-task pickling of the data) using a pool
-initializer.  Observability note: ledger draws recorded *inside* a
-worker process never reach the parent's session, so callers that need
-budget audits record draws themselves after collecting results — as
-:meth:`repro.core.priview.PriView.generate_noisy_views` does.
+:class:`ParallelExecutor` maps a function over an item list serially
+or on a thread pool (numpy releases the GIL inside the marginal
+kernels).  Determinism is owned by the *caller*, not the pool: work
+item ``i`` carries its own pre-assigned RNG stream (see
+:func:`spawn_seed_sequences`), so the result list is bit-identical for
+any worker count and any scheduling order — the contract
+``tests/kernels/test_parallel_fit.py`` locks in.
 """
 
 from __future__ import annotations
@@ -25,8 +19,8 @@ import numpy as np
 from repro.exceptions import ReproError
 
 #: Recognised backends; ``auto`` resolves to serial for <= 1 worker
-#: and threads otherwise (numpy kernels release the GIL).
-BACKENDS = ("auto", "serial", "thread", "process")
+#: and threads otherwise.
+BACKENDS = ("auto", "serial", "thread")
 
 
 def spawn_seed_sequences(root: np.random.SeedSequence | int | None, n: int):
@@ -38,11 +32,6 @@ def spawn_seed_sequences(root: np.random.SeedSequence | int | None, n: int):
     if not isinstance(root, np.random.SeedSequence):
         root = np.random.SeedSequence(root)
     return root.spawn(n)
-
-
-def spawn_generators(root: np.random.SeedSequence | int | None, n: int):
-    """``n`` independent :class:`numpy.random.Generator` streams."""
-    return [np.random.default_rng(seq) for seq in spawn_seed_sequences(root, n)]
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -63,21 +52,11 @@ class ParallelExecutor:
         Pool width; ``None``, 0 or 1 run serially in the caller's
         thread, negative means "one per CPU".
     backend:
-        ``auto`` (default), ``serial``, ``thread`` or ``process``.
-        ``auto`` picks serial for an effective width of 1 and threads
-        otherwise.
-    initializer / initargs:
-        Forwarded to the pool (process backend: runs once per worker —
-        used to install shared read-only state post-fork).
+        ``auto`` (default), ``serial`` or ``thread``.  ``auto`` picks
+        serial for an effective width of 1 and threads otherwise.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        backend: str = "auto",
-        initializer=None,
-        initargs=(),
-    ):
+    def __init__(self, workers: int | None = None, backend: str = "auto"):
         if backend not in BACKENDS:
             raise ReproError(
                 f"unknown executor backend {backend!r}; choose from {BACKENDS}"
@@ -86,36 +65,9 @@ class ParallelExecutor:
         if backend == "auto":
             backend = "serial" if self.workers <= 1 else "thread"
         self.backend = backend
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
         self._pool = None
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is not None:
-            return self._pool
-        if self.backend == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-fit",
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        elif self.backend == "process":
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        return self._pool
-
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]`` with the configured pool.
 
@@ -123,11 +75,12 @@ class ParallelExecutor:
         """
         items = list(items)
         if self.backend == "serial" or len(items) <= 1:
-            if self._initializer is not None:
-                self._initializer(*self._initargs)
             return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, items))
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-fit"
+            )
+        return list(self._pool.map(fn, items))
 
     def close(self) -> None:
         """Shut the pool down (idempotent; serial backend is a no-op)."""

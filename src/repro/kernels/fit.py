@@ -1,22 +1,20 @@
-"""The parallel noisy-view fan-out used by ``PriView.fit``.
+"""The noisy-view fan-out of ``PriView.fit``.
 
 :func:`generate_noisy_views` extracts one marginal per design block
-from a (packed or raw) dataset and adds the per-view Laplace noise,
-fanning the blocks out over a :class:`ParallelExecutor`.
+and adds the per-view Laplace noise, fanning the blocks out over a
+:class:`ParallelExecutor`.
 
 Determinism contract
 --------------------
 The root seed is spawned into one independent
 ``np.random.SeedSequence`` child per view, assigned by *view index*.
 Worker count, backend and completion order therefore never change the
-released synopsis: a fit with 1, 2 or 8 workers (threads or
-processes) is bit-identical.  The streams differ from the legacy
-sequential path (one generator drawn view after view), which
-``PriView`` keeps as the default for backwards compatibility.
+released synopsis: a fit with 1, 2 or 8 workers is bit-identical.
+Each call spawns fresh children, so two fits from one root seed
+sequence draw different noise.
 
-Budget accounting happens in the caller's process *after* the fan-out
-(one ledger record per view), so audits hold even under the process
-backend, where worker-side ``repro.obs`` calls would be invisible.
+Budget accounting happens in the caller's thread *after* the fan-out
+(one ledger record per view).
 """
 
 from __future__ import annotations
@@ -24,22 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.kernels.executor import (
-    ParallelExecutor,
-    resolve_workers,
-    spawn_seed_sequences,
-)
+from repro.kernels.executor import ParallelExecutor, spawn_seed_sequences
 from repro.marginals.table import MarginalTable
-
-# Module global installed in pool workers (process backend only; the
-# thread/serial paths close over the source directly).  Set once per
-# worker by the pool initializer, read-only afterwards.
-_WORKER_SOURCE = None
-
-
-def _install_source(source) -> None:
-    global _WORKER_SOURCE
-    _WORKER_SOURCE = source
 
 
 def _noisy_view(source, item) -> MarginalTable:
@@ -57,11 +41,6 @@ def _noisy_view(source, item) -> MarginalTable:
             table.counts + rng.laplace(loc=0.0, scale=scale, size=table.counts.shape),
         )
     return table
-
-
-def _noisy_view_global(item) -> MarginalTable:
-    """Picklable task for the process backend (source via initializer)."""
-    return _noisy_view(_WORKER_SOURCE, item)
 
 
 def generate_noisy_views(
@@ -93,29 +72,13 @@ def generate_noisy_views(
         Pool configuration, see :class:`ParallelExecutor`.
     """
     blocks = list(blocks)
-    num_views = len(blocks)
     scale = 0.0 if np.isinf(epsilon) else sensitivity / epsilon
-    seqs = spawn_seed_sequences(root_seed, num_views)
+    seqs = spawn_seed_sequences(root_seed, len(blocks))
     items = [(block, scale, seq) for block, seq in zip(blocks, seqs)]
 
-    effective = resolve_workers(workers)
-    resolved = backend
-    if resolved == "auto":
-        resolved = "serial" if effective <= 1 else "thread"
-    if resolved == "process":
-        executor = ParallelExecutor(
-            workers, resolved, initializer=_install_source, initargs=(source,)
-        )
-        task = _noisy_view_global
-    else:
-        executor = ParallelExecutor(workers, resolved)
-
-        def task(item):
-            return _noisy_view(source, item)
-
-    with executor:
+    with ParallelExecutor(workers, backend) as executor:
         obs.set_gauge("fit.workers", executor.workers)
-        views = executor.map(task, items)
+        views = executor.map(lambda item: _noisy_view(source, item), items)
 
     if scale > 0.0:
         for view in views:

@@ -191,16 +191,19 @@ def _bit_planes(data: np.ndarray, arities) -> np.ndarray:
     """The ``(N, planes)`` 0/1 matrix :func:`pack_columns` stores.
 
     A binary matrix is its own planes; codes under ``arities`` split
-    into each attribute's bits, LSB first.
+    into each attribute's bits, LSB first, written plane by plane into
+    one uint8 matrix so no full-width temporary outlives its column.
     """
     if not arities:
         return data
-    planes = [
-        (data[:, j] >> k) & 1
-        for j, b in enumerate(arities)
-        for k in range(plane_count(b))
-    ]
-    return np.stack(planes, axis=1).astype(np.uint8)
+    nbits = [plane_count(b) for b in arities]
+    planes = np.empty((data.shape[0], sum(nbits)), dtype=np.uint8)
+    column = 0
+    for j, bits in enumerate(nbits):
+        for k in range(bits):
+            planes[:, column] = (data[:, j] >> k) & 1
+            column += 1
+    return planes
 
 
 class PackedDataset:

@@ -135,8 +135,7 @@ class WindowScheduler:
     def _default_factory(self, design):
         def factory(epsilon: float, window: ClosedWindow):
             seed = None if self.seed is None else self.seed + window.index
-            # Shards arrive bit-packed; keep the packed fast path on.
-            return PriView(epsilon, design=design, seed=seed, packed=True)
+            return PriView(epsilon, design=design, seed=seed)
 
         return factory
 

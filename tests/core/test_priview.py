@@ -10,7 +10,7 @@ from repro.core.priview import PriView
 from repro.core.synopsis import PriViewSynopsis
 from repro.covering.design import CoveringDesign
 from repro.covering.repository import best_design
-from repro.exceptions import DimensionError, PrivacyBudgetError
+from repro.exceptions import DimensionError, PrivacyBudgetError, ReproError
 from repro.marginals.dataset import Dataset
 from repro.marginals.domain import Domain
 from repro.metrics.l2 import normalized_l2_error
@@ -91,6 +91,30 @@ class TestFit:
         s2 = PriView(1.0, design=design10, seed=42).fit(small_dataset)
         for v1, v2 in zip(s1.views, s2.views):
             assert np.array_equal(v1.counts, v2.counts)
+
+    def test_refit_draws_fresh_noise(self, small_dataset, design10):
+        """Each fit spawns new per-view streams from the instance's seed."""
+        mechanism = PriView(1.0, design=design10, seed=42, consistency=False)
+        first = mechanism.fit(small_dataset)
+        second = mechanism.fit(small_dataset)
+        for v1, v2 in zip(first.views, second.views):
+            assert not np.array_equal(v1.counts, v2.counts)
+
+    def test_unpacked_extraction_rejected(self):
+        PriView(1.0, packed=True)
+        with pytest.raises(ReproError):
+            PriView(1.0, packed=False)
+
+    def test_default_fit_audits_exactly(self, small_dataset, design10):
+        with obs.session() as sess:
+            PriView(1.0, design=design10, seed=0).fit(small_dataset)
+            PriView(1.0, view_width=4, seed=0).fit(small_dataset)
+        sess.ledger.check()
+        scopes = sess.ledger.scopes
+        assert [scope.name for scope in scopes] == ["PriView.fit"] * 2
+        assert all(scope.status == "exact" for scope in scopes)
+        # the design-selecting fit also paid for its noisy record count
+        assert scopes[1].spent() > scopes[0].spent() == 1.0
 
 
 class TestQueries:

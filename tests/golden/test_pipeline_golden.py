@@ -3,7 +3,7 @@
 Three slices, each in its own fixture next to this file:
 
 * ``binary.json`` — sha256 of the views of a seeded binary ``PriView``
-  fit under every ``workers``/``packed`` setting, and of its answers
+  fit, serially and on two workers, and of its answers
   on a fixed query set: covered targets, plus solved targets for every
   reconstruction method, one at a time and through ``marginals()``;
 * ``categorical.json`` — sha256 of the views of a seeded
@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.core.priview import PriView
+from repro.kernels.fit import generate_noisy_views
 from repro.marginals.dataset import Dataset
 from repro.store import SynopsisStore
 from repro.stream import BudgetSchedule, CountWindowPolicy, WindowScheduler
@@ -46,12 +47,7 @@ METHODS = ("maxent", "residual", "lsq", "lp", "maxent-dual")
 #: constraints, and within which a re-solved answer must agree
 CONSTRAINT_TOL = 1e-9
 
-FITS = {
-    "legacy": dict(workers=None, packed=False),
-    "legacy_packed": dict(workers=None, packed=True),
-    "workers2": dict(workers=2, packed=False),
-    "workers2_packed": dict(workers=2, packed=True),
-}
+FITS = {"default": {}, "workers2": {"workers": 2}}
 
 CATEGORICAL_ARITIES = (3, 2, 4, 3, 2, 5, 3, 2)
 
@@ -80,16 +76,17 @@ def _query_sets(synopsis, d: int, k: int, count: int):
 # ----------------------------------------------------------------------
 # binary
 # ----------------------------------------------------------------------
-def _binary_fit(workers, packed):
-    data = Dataset.random(3000, 9, rng=np.random.default_rng(11))
-    return PriView(
-        epsilon=1.0, view_width=5, seed=3, workers=workers, packed=packed
-    ).fit(data)
+def _binary_data():
+    return Dataset.random(3000, 9, rng=np.random.default_rng(11))
+
+
+def _binary_fit(**options):
+    return PriView(epsilon=1.0, view_width=5, seed=3, **options).fit(_binary_data())
 
 
 def binary_outcome() -> dict:
     fits = {name: _binary_fit(**kw) for name, kw in FITS.items()}
-    synopsis = fits["legacy"]
+    synopsis = fits["default"]
     covered, uncovered = _query_sets(synopsis, 9, 3, 4)
     answers = {
         "covered": tables_sha256(synopsis.marginal(a) for a in covered)
@@ -221,8 +218,15 @@ def test_binary_views_match_golden(fit, binary):
 
 def test_binary_fits_agree_across_workers_and_packing():
     views = _fixture("binary")["views"]
-    assert views["legacy"] == views["legacy_packed"]
-    assert views["workers2"] == views["workers2_packed"]
+    assert views["default"] == views["workers2"]
+    # the same per-view streams over Dataset.marginal release the same views
+    data = _binary_data()
+    mechanism = PriView(epsilon=1.0, view_width=5, seed=3)
+    blocks = mechanism.choose_design(data).blocks
+    unpacked = generate_noisy_views(
+        data, blocks, 1.0, len(blocks), root_seed=np.random.SeedSequence(3)
+    )
+    assert tables_sha256(mechanism.post_process(unpacked)) == views["default"]
 
 
 def test_binary_query_sets_match_golden(binary):

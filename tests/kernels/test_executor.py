@@ -11,7 +11,6 @@ from repro.kernels.executor import (
     BACKENDS,
     ParallelExecutor,
     resolve_workers,
-    spawn_generators,
     spawn_seed_sequences,
 )
 
@@ -27,14 +26,15 @@ class TestResolveWorkers:
 
 class TestSeedSpawning:
     def test_deterministic_per_index(self):
-        a = spawn_generators(123, 4)
-        b = spawn_generators(123, 4)
-        for ga, gb in zip(a, b):
+        a = spawn_seed_sequences(123, 4)
+        b = spawn_seed_sequences(123, 4)
+        for sa, sb in zip(a, b):
+            ga, gb = np.random.default_rng(sa), np.random.default_rng(sb)
             assert np.array_equal(ga.random(8), gb.random(8))
 
     def test_children_independent(self):
-        gens = spawn_generators(123, 3)
-        draws = [g.random(8) for g in gens]
+        seqs = spawn_seed_sequences(123, 3)
+        draws = [np.random.default_rng(seq).random(8) for seq in seqs]
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
 
@@ -53,8 +53,9 @@ class TestSeedSpawning:
 
 class TestParallelExecutor:
     def test_unknown_backend(self):
-        with pytest.raises(ReproError):
-            ParallelExecutor(2, backend="gpu")
+        for backend in ("gpu", "process"):
+            with pytest.raises(ReproError):
+                ParallelExecutor(2, backend=backend)
 
     def test_auto_resolution(self):
         assert ParallelExecutor(1).backend == "serial"
@@ -71,19 +72,6 @@ class TestParallelExecutor:
         with ParallelExecutor(4, backend="thread") as pool:
             out = pool.map(lambda x: x * x, range(50))
         assert out == [x * x for x in range(50)]
-
-    def test_serial_initializer_called(self):
-        calls = []
-        pool = ParallelExecutor(1, initializer=calls.append, initargs=("hi",))
-        pool.map(lambda x: x, [1, 2])
-        assert calls == ["hi"]
-
-    def test_thread_initializer_called(self):
-        calls = []
-        with ParallelExecutor(2, backend="thread",
-                              initializer=calls.append, initargs=("hi",)) as pool:
-            pool.map(lambda x: x, range(8))
-        assert calls and set(calls) == {"hi"}
 
     def test_close_idempotent(self):
         pool = ParallelExecutor(2, backend="thread")

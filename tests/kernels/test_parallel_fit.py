@@ -1,8 +1,8 @@
 """The parallel-fit determinism contract.
 
 A fitted synopsis must be bit-identical no matter how many workers or
-which backend executed the fan-out; ``packed=True`` alone must not
-change anything relative to the seed path.
+which backend executed the fan-out, and whether the marginals came off
+the packed kernels or ``Dataset.marginal``.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 
 from repro import PriView, obs
 from repro.covering.repository import best_design
-from repro.kernels import fit_defaults, set_fit_defaults
 from repro.kernels.fit import generate_noisy_views
 from repro.marginals.dataset import Dataset
 
@@ -45,7 +44,7 @@ class TestGenerateNoisyViews:
             )
             _views_equal(reference, got)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_backend_invariance(self, dataset, design, backend):
         reference = generate_noisy_views(
             dataset, design.blocks, 1.0, design.num_blocks, root_seed=5, workers=1
@@ -79,41 +78,22 @@ class TestGenerateNoisyViews:
             with obs.budget_scope("fit", 1.0):
                 generate_noisy_views(
                     dataset, design.blocks, 1.0, design.num_blocks,
-                    root_seed=0, workers=2, backend="process",
+                    root_seed=0, workers=2, backend="thread",
                 )
             sess.ledger.check()
             assert sess.ledger.total_draws() == design.num_blocks
 
 
 class TestPriViewIntegration:
-    def test_packed_only_matches_seed_path(self, dataset, design):
-        legacy = PriView(1.0, design=design, seed=5).fit(dataset)
-        packed = PriView(1.0, design=design, seed=5, packed=True).fit(dataset)
-        _views_equal(legacy.views, packed.views)
-
     def test_fit_worker_invariance(self, dataset, design):
-        reference = PriView(1.0, design=design, seed=5, workers=1).fit(dataset)
-        for workers in (2, 8):
-            got = PriView(
-                1.0, design=design, seed=5, packed=True, workers=workers
-            ).fit(dataset)
+        reference = PriView(1.0, design=design, seed=5).fit(dataset)
+        for workers in (1, 2, 8):
+            got = PriView(1.0, design=design, seed=5, workers=workers).fit(dataset)
             _views_equal(reference.views, got.views)
 
     def test_parallel_fit_ledger_balances(self, dataset, design):
         with obs.session() as sess:
-            PriView(1.0, design=design, seed=5, packed=True, workers=2).fit(dataset)
+            PriView(1.0, design=design, seed=5, workers=2).fit(dataset)
             sess.ledger.check()
             snapshot = sess.metrics.snapshot()
         assert snapshot["gauges"]["fit.workers"] == 2
-        assert snapshot["gauges"]["fit.packed"] == 1
-
-    def test_defaults_flow_from_config(self, dataset, design):
-        previous = set_fit_defaults(workers=2, packed=True)
-        try:
-            mechanism = PriView(1.0, design=design, seed=5)
-            assert mechanism.packed is True and mechanism.workers == 2
-            explicit = PriView(1.0, design=design, seed=5, workers=8)
-            assert explicit.workers == 8
-        finally:
-            set_fit_defaults(**previous)
-        assert fit_defaults() == previous
