@@ -21,7 +21,6 @@ satisfy the protocols.
 from __future__ import annotations
 
 import abc
-from time import perf_counter
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -91,16 +90,10 @@ class MarginalReleaseMechanism(abc.ABC):
         self._num_attributes = dataset.num_attributes
         self._num_records = dataset.num_records
         scope_name = f"{self.name}.fit"
-        fit_start = perf_counter()
-        with obs.span(scope_name), obs.budget_scope(
-            scope_name, self.epsilon, strict=False
-        ):
+        with obs.span(
+            scope_name, "fit.seconds", {"mechanism": self.name}
+        ), obs.budget_scope(scope_name, self.epsilon, strict=False):
             self._fit(dataset)
-        obs.observe(
-            "fit.seconds",
-            perf_counter() - fit_start,
-            {"mechanism": self.name},
-        )
         self._fitted = True
         return self
 

@@ -8,15 +8,12 @@ applied directly".  So they are, and the rest of the pipeline too: one
 :class:`~repro.kernels.PackedDataset`, one
 :class:`~repro.core.priview.PriView` and one
 :class:`~repro.core.synopsis.PriViewSynopsis` serve both domain kinds,
-and a binary table is the case where every arity is 2.  What this
-package adds:
-
-* view selection that bounds the *cell count* per view using the
-  Section 4.7 ``s`` guideline instead of the attribute count
-  (:mod:`repro.categorical.views`), which ``PriView.fit`` uses for
-  any dataset with arities;
-* the categorical Direct and Uniform baselines
-  (:mod:`repro.categorical.baselines`).
+and a binary table is the case where every arity is 2; so do the
+Direct and Uniform baselines.  What this package adds is view
+selection that bounds the *cell count* per view using the Section 4.7
+``s`` guideline instead of the attribute count
+(:mod:`repro.categorical.views`), which ``PriView.fit`` uses for any
+dataset with arities.
 """
 
 from repro.categorical.views import select_categorical_views

@@ -32,8 +32,6 @@ See ``docs/PERFORMANCE.md`` for the determinism contract.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro import obs
@@ -217,8 +215,9 @@ class PriView:
         configured = self.epsilon
         if binary and self.design is None and not np.isinf(self.epsilon):
             configured = self.epsilon + RECORD_COUNT_EPSILON
-        fit_start = perf_counter()
-        with obs.span("priview.fit"), obs.budget_scope("PriView.fit", configured):
+        with obs.span(
+            "priview.fit", "fit.seconds", {"mechanism": "priview"}
+        ), obs.budget_scope("PriView.fit", configured):
             with obs.span("choose_design"):
                 design = self.choose_design(dataset)
             blocks = _blocks(design)
@@ -228,11 +227,6 @@ class PriView:
                 views = self.generate_noisy_views(dataset, design)
             with obs.span("post_process"):
                 views = self.post_process(views)
-            obs.observe(
-                "fit.seconds",
-                perf_counter() - fit_start,
-                {"mechanism": "priview"},
-            )
         if binary:
             metadata = {
                 "nonnegativity": self.nonnegativity,

@@ -49,10 +49,22 @@ def kl_divergence(p, q) -> float:
 
 
 def jensen_shannon(p, q) -> float:
-    """Equation 1: symmetrised, smoothed KL.  Always finite, in [0, ln 2]."""
+    """Equation 1: symmetrised, smoothed KL.  Always finite, in [0, ln 2].
+
+    Each term is ``p ln(2p / (p + q))`` rather than ``p ln(p / m)``
+    with ``m = (p + q) / 2``: halving a subnormal ``p + q`` can
+    underflow ``m`` to 0 where ``p > 0``, while ``2p / (p + q)`` stays
+    in ``(0, 2]`` whenever ``p > 0``.
+    """
     p = _as_distribution(p)
     q = _as_distribution(q)
     if p.shape != q.shape:
         raise DimensionError(f"shape mismatch {p.shape} vs {q.shape}")
-    m = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
+    total = p + q
+    return 0.5 * _skewed_term(p, total) + 0.5 * _skewed_term(q, total)
+
+
+def _skewed_term(p: np.ndarray, total: np.ndarray) -> float:
+    """``sum_i p(i) ln(2 p(i) / total(i))`` over the support of ``p``."""
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(2.0 * p[mask] / total[mask])))

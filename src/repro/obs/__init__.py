@@ -13,8 +13,9 @@ See ``docs/OBSERVABILITY.md`` for the full guide.  Quick tour::
 With no active session every helper is a near-zero-cost no-op, so the
 library is instrumented unconditionally.
 
-The live telemetry plane adds: quantile histograms behind
-``observe()`` (:mod:`repro.obs.metrics`), Prometheus text exposition
+The live telemetry plane adds: quantile histograms fed by spans that
+name one, ``span(name, histogram=..., labels=...)``
+(:mod:`repro.obs.metrics`), Prometheus text exposition
 (:mod:`repro.obs.prometheus`, served at ``GET /metrics``), end-to-end
 trace propagation (:mod:`repro.obs.propagation`) and periodic
 JSON-lines metrics snapshots
@@ -57,7 +58,6 @@ from repro.obs.session import (
     incr,
     incr_each,
     install,
-    observe,
     record_draw,
     session,
     set_gauge,
@@ -94,7 +94,6 @@ __all__ = [
     "incr_each",
     "install",
     "new_context",
-    "observe",
     "parse_prometheus",
     "parse_traceparent",
     "read_jsonl",

@@ -3,14 +3,11 @@
 Counters accumulate (ripple passes, IPF sweeps, cells clipped);
 gauges hold the last observed value (design size ``w``, final
 residuals); observations summarise a stream of values (per-request
-latencies in the serving layer).  Every observation stream keeps two
-representations:
-
-* a **summary** — count/sum/min/max/mean, the cheap aggregate the
-  original ``observe()`` API exposed (kept for backward compat);
-* a **histogram** — fixed log-spaced buckets (:class:`Histogram`)
-  from which p50/p90/p95/p99 are estimated and which merge exactly
-  across label sets, threads and processes (bucket counts add).
+latencies in the serving layer).  Each observation series is one
+:class:`Histogram` — fixed log-spaced buckets from which
+p50/p90/p95/p99 are estimated, plus the exact count/sum/min/max the
+summary (with its mean) is read from.  Histograms merge exactly
+across label sets, threads and processes (bucket counts add).
 
 Observations may carry **labels** (``{"path": "solved", "dataset":
 "adult"}``); each distinct label set is its own series, and lookups
@@ -144,6 +141,16 @@ class Histogram:
         out.append((math.inf, cumulative + self.buckets[-1]))
         return out
 
+    def summary(self) -> dict:
+        """``count``/``sum``/``min``/``max``/``mean`` (count > 0)."""
+        return {
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+            "mean": self.sum / self.count,
+        }
+
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-serialisable snapshot (mergeable via :meth:`from_dict`).
@@ -202,9 +209,7 @@ class MetricsRegistry:
         self._buckets = tuple(buckets)
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        #: (name, labels) -> running summary dict
-        self._observations: dict[tuple[str, tuple], dict] = {}
-        #: (name, labels) -> Histogram
+        #: (name, labels) -> Histogram, the one store per series
         self._histograms: dict[tuple[str, tuple], Histogram] = {}
 
     def incr(self, name: str, value: float = 1) -> None:
@@ -240,7 +245,7 @@ class MetricsRegistry:
             return self._gauges.get(name)
 
     def observe(self, name: str, value: float, labels=None) -> None:
-        """Fold ``value`` into the summary *and* histogram for ``name``.
+        """Fold ``value`` into the histogram for ``name``.
 
         ``labels`` (dict, or a pre-sorted tuple of pairs for hot
         paths) selects the series; omitted means the unlabeled series.
@@ -248,30 +253,29 @@ class MetricsRegistry:
         value = float(value)
         key = (name, _normalize_labels(labels))
         with self._lock:
-            rec = self._observations.get(key)
-            if rec is None:
-                rec = self._observations[key] = {
-                    "count": 0, "sum": 0.0, "min": value, "max": value,
-                }
-                self._histograms[key] = Histogram(self._buckets)
-            rec["count"] += 1
-            rec["sum"] += value
-            if value < rec["min"]:
-                rec["min"] = value
-            if value > rec["max"]:
-                rec["max"] = value
-            self._histograms[key].record(value)
+            hist = self._histograms.get(key)
+            if hist is None:
+                hist = self._histograms[key] = Histogram(self._buckets)
+            hist.record(value)
 
     # ------------------------------------------------------------------
-    def _matching(self, name: str, labels) -> list[tuple[str, tuple]]:
-        """(lock held) Series keys matching ``name`` (+labels subset)."""
-        if labels is not None:
-            wanted = _normalize_labels(labels)
-            return [
-                key for key in self._observations
-                if key[0] == name and set(wanted) <= set(key[1])
-            ]
-        return [key for key in self._observations if key[0] == name]
+    def _merged(self, name: str, labels) -> Histogram | None:
+        """(lock held) A merged copy of the series matching ``name``.
+
+        With ``labels`` only series carrying *at least* those labels
+        contribute; None when nothing matches.
+        """
+        wanted = None if labels is None else set(_normalize_labels(labels))
+        merged = None
+        for (series, series_labels), hist in self._histograms.items():
+            if series != name:
+                continue
+            if wanted is not None and not wanted <= set(series_labels):
+                continue
+            if merged is None:
+                merged = Histogram(self._buckets)
+            merged.merge(hist)
+        return merged
 
     def observation(self, name: str, labels=None) -> dict | None:
         """Summary for ``name`` incl. ``mean`` (None if never seen).
@@ -282,18 +286,8 @@ class MetricsRegistry:
         contribute.
         """
         with self._lock:
-            keys = self._matching(name, labels)
-            if not keys:
-                return None
-            out = {"count": 0, "sum": 0.0, "min": math.inf, "max": -math.inf}
-            for key in keys:
-                rec = self._observations[key]
-                out["count"] += rec["count"]
-                out["sum"] += rec["sum"]
-                out["min"] = min(out["min"], rec["min"])
-                out["max"] = max(out["max"], rec["max"])
-            out["mean"] = out["sum"] / out["count"]
-            return out
+            merged = self._merged(name, labels)
+        return None if merged is None else merged.summary()
 
     def histogram(self, name: str, labels=None) -> Histogram | None:
         """A merged *copy* of the histogram(s) for ``name``.
@@ -302,13 +296,7 @@ class MetricsRegistry:
         returned histogram never touches the registry.
         """
         with self._lock:
-            keys = self._matching(name, labels)
-            if not keys:
-                return None
-            merged = Histogram(self._buckets)
-            for key in keys:
-                merged.merge(self._histograms[key])
-            return merged
+            return self._merged(name, labels)
 
     def series(self) -> list[dict]:
         """Structured view of every observation series (for exposition).
@@ -317,17 +305,15 @@ class MetricsRegistry:
         where histogram is a :class:`Histogram` *copy*.
         """
         with self._lock:
-            out = []
-            for key in sorted(self._observations):
-                name, labels = key
-                rec = self._observations[key]
-                out.append({
+            return [
+                {
                     "name": name,
                     "labels": dict(labels),
-                    "summary": {**rec, "mean": rec["sum"] / rec["count"]},
-                    "histogram": self._histograms[key].copy(),
-                })
-            return out
+                    "summary": self._histograms[name, labels].summary(),
+                    "histogram": self._histograms[name, labels].copy(),
+                }
+                for name, labels in sorted(self._histograms)
+            ]
 
     def snapshot(self) -> dict:
         """A JSON-serialisable copy of all metrics.
@@ -342,15 +328,15 @@ class MetricsRegistry:
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
             }
-            if self._observations:
+            if self._histograms:
                 observations = {}
                 histograms = {}
-                for key in sorted(self._observations):
+                for key in sorted(self._histograms):
                     name, labels = key
                     rendered = render_series(name, labels)
-                    rec = self._observations[key]
-                    entry = {**rec, "mean": rec["sum"] / rec["count"]}
-                    hist_entry = self._histograms[key].to_dict()
+                    hist = self._histograms[key]
+                    entry = hist.summary()
+                    hist_entry = hist.to_dict()
                     if labels:
                         meta = {"metric": name, "labels": dict(labels)}
                         entry.update(meta)

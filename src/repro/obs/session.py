@@ -5,8 +5,9 @@ A process has at most one *active* session, installed with the
 restored on exit).  All instrumentation in the library goes through
 the module-level helpers below, whose disabled path is a single global
 read — with no active session, ``span()`` returns a shared no-op
-context manager and ``incr``/``record_draw`` return immediately, so
-the pipeline's cost is unchanged (see ``scripts/check_obs_overhead.py``).
+context manager (unless it names a histogram, see :func:`span`) and
+``incr``/``record_draw`` return immediately, so the pipeline's cost
+is unchanged (see ``scripts/check_obs_overhead.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 
 from repro.obs.ledger import BudgetLedger, DrawRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Span, Tracer
 
 
 class _NoopContext:
@@ -145,12 +146,24 @@ def uninstall(sess: ObsSession, previous: ObsSession | None = None) -> None:
 # ----------------------------------------------------------------------
 # Fast-path instrumentation helpers (the API the library calls)
 # ----------------------------------------------------------------------
-def span(name: str):
-    """A timed span context manager (no-op when disabled)."""
+def span(name: str, histogram: str | None = None, labels=None):
+    """A timed span context manager.
+
+    Without ``histogram`` it is a no-op unless the session traces.
+    With one, the span always times its block (read ``.duration``
+    after it) and on exit observes the duration into that session
+    histogram under ``labels`` (a dict, or a pre-sorted tuple of pairs
+    on hot paths), even in a ``trace=False`` session.
+    """
     sess = _SESSION
-    if sess is None or sess.tracer is None:
-        return _NOOP
-    return sess.tracer.span(name)
+    if histogram is None:
+        if sess is None or sess.tracer is None:
+            return _NOOP
+        return sess.tracer.span(name)
+    if sess is None:
+        return Span(name, histogram=histogram, labels=labels)
+    return Span(name, sess.tracer, histogram, labels, sess.metrics)
+
 
 def incr(name: str, value: float = 1) -> None:
     """Bump a session counter and the innermost open span's counter."""
@@ -188,19 +201,6 @@ def set_gauge(name: str, value: float) -> None:
     if sess is None or sess.metrics is None:
         return
     sess.metrics.set_gauge(name, value)
-
-
-def observe(name: str, value: float, labels=None) -> None:
-    """Fold one value into a session observation (summary + histogram).
-
-    ``labels`` (a dict, or a pre-sorted tuple of pairs on hot paths)
-    selects the series — e.g. per planner path / dataset latency
-    histograms in the serving layer.
-    """
-    sess = _SESSION
-    if sess is None or sess.metrics is None:
-        return
-    sess.metrics.observe(name, value, labels)
 
 
 def record_draw(

@@ -4,12 +4,16 @@ A :class:`Span` measures one pipeline stage with ``perf_counter``;
 spans nest, forming a tree per top-level operation (a ``PriView.fit``,
 an experiment run).  The :class:`Tracer` keeps one span stack per
 thread, so concurrent fits trace independently, and hands finished
-root spans to the attached exporters.
+root spans to the attached exporters.  A span that names a
+``histogram`` also folds its duration into that latency histogram on
+exit, so one timer feeds both the tree and the metrics.
 
 When no observability session is active the module-level ``span()``
 helper in :mod:`repro.obs.session` returns a shared no-op context
 manager, so instrumented code pays a single global read plus an empty
-``with`` block — nothing is allocated.
+``with`` block — nothing is allocated.  Spans that name a histogram
+are the exception: they always time their block, so callers can read
+:attr:`Span.duration` with or without a session.
 """
 
 from __future__ import annotations
@@ -28,34 +32,52 @@ class Span:
     records its ``trace_id``, so every span a request triggers —
     across the server handler, the engine pool, the planner and the
     solver — carries the same id end to end.
+
+    With a ``histogram`` name and a ``metrics`` registry, exit observes
+    :attr:`duration` into that histogram under :attr:`labels` — also
+    when the block raises.  The block may reassign :attr:`labels`
+    before it exits, or set :attr:`histogram` to None to record
+    nothing.
     """
 
     __slots__ = (
         "name", "start", "duration", "children", "counters", "trace_id",
-        "_tracer",
+        "histogram", "labels", "_tracer", "_metrics",
     )
 
-    def __init__(self, name: str, tracer: "Tracer | None" = None):
+    def __init__(
+        self,
+        name: str,
+        tracer: "Tracer | None" = None,
+        histogram: str | None = None,
+        labels=None,
+        metrics=None,
+    ):
         self.name = name
         self.start = 0.0
         self.duration = 0.0
         self.children: list[Span] = []
         self.counters: dict[str, float] = {}
         self.trace_id: str | None = None
+        self.histogram = histogram
+        self.labels = labels
         self._tracer = tracer
+        self._metrics = metrics
 
     # -- context manager ------------------------------------------------
     def __enter__(self) -> "Span":
-        context = propagation.current_context()
-        if context is not None and context.sampled:
-            self.trace_id = context.trace_id
         if self._tracer is not None:
+            context = propagation.current_context()
+            if context is not None and context.sampled:
+                self.trace_id = context.trace_id
             self._tracer._push(self)
         self.start = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.duration = perf_counter() - self.start
+        if self._metrics is not None and self.histogram is not None:
+            self._metrics.observe(self.histogram, self.duration, self.labels)
         if self._tracer is not None:
             self._tracer._pop(self)
         return False

@@ -24,7 +24,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -259,11 +258,6 @@ class QueryEngine:
             if callable(attach_engine):
                 attach_engine(self)
 
-    @property
-    def synopsis(self):
-        """The hosted source (kept for backwards compatibility)."""
-        return self.source
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -410,59 +404,51 @@ class QueryEngine:
     def _answer(self, attrs, method: str,
                 wait_timeout: float | None,
                 presolved: MarginalTable | None = None) -> QueryAnswer:
-        start = perf_counter()
-        with obs.span("serve.request"):
+        # Labelled as an error until the lookup returns, so any raise
+        # lands in serve.request_seconds{path=error}.
+        with obs.span(
+            "serve.request", "serve.request_seconds",
+            self._request_labels[PATH_ERROR],
+        ) as request:
             try:
                 target = self._planner.validate(attrs)
-                key = (target, method)
-                lookup_start = perf_counter()
-                entry, hit = self._cache.get_or_compute(
-                    key, lambda: self._compute(target, method, presolved),
-                    wait_timeout,
-                )
-                lookup_elapsed = perf_counter() - lookup_start
+                with obs.span(
+                    "serve.cache.lookup", "serve.cache.lookup_seconds",
+                    self._lookup_labels["miss"],
+                ) as lookup:
+                    entry, hit = self._cache.get_or_compute(
+                        (target, method),
+                        lambda: self._compute(target, method, presolved),
+                        wait_timeout,
+                    )
+                    if hit:
+                        # Hit-side lookup timing only for trace-sampled
+                        # requests: the warm path is ~20µs end to end
+                        # and an extra labeled observe per hit would
+                        # show up in BENCH_serve.
+                        context = propagation.current_context()
+                        if context is not None and context.sampled:
+                            lookup.labels = self._lookup_labels["hit"]
+                        else:
+                            lookup.histogram = None
             except ReproError:
                 self._record(PATH_ERROR)
                 obs.incr_each(self._error_counters)
-                obs.observe(
-                    "serve.request_seconds",
-                    perf_counter() - start,
-                    self._request_labels[PATH_ERROR],
-                )
                 raise
-            elapsed = perf_counter() - start
+            request.labels = self._request_labels[entry.path]
             self._record(entry.path)
             obs.incr_each(self._counter_names[entry.path, hit])
-            obs.observe(
-                "serve.request_seconds", elapsed, self._request_labels[entry.path]
-            )
             if not hit:
                 # The cache only changes size on a miss, so the gauge
-                # (and the lookup histogram) stay off the warm path.
+                # stays off the warm path.
                 obs.set_gauge("serve.cache.size", len(self._cache))
-                obs.observe(
-                    "serve.cache.lookup_seconds",
-                    lookup_elapsed,
-                    self._lookup_labels["miss"],
-                )
-            else:
-                # Hit-side lookup timing only for trace-sampled requests:
-                # the warm path is ~20µs end to end and an extra labeled
-                # observe per hit would show up in BENCH_serve.
-                context = propagation.current_context()
-                if context is not None and context.sampled:
-                    obs.observe(
-                        "serve.cache.lookup_seconds",
-                        lookup_elapsed,
-                        self._lookup_labels["hit"],
-                    )
         return QueryAnswer(
             attrs=target,
             method=method,
             table=entry.table.copy(),
             path=entry.path,
             cached=hit,
-            elapsed_s=elapsed,
+            elapsed_s=request.duration,
             source=entry.source,
         )
 
@@ -508,28 +494,25 @@ class QueryEngine:
         categorical views is a request error (``DimensionError``), not
         a fallback.
         """
-        start = perf_counter()
-        try:
-            if method == "residual":
-                table = self._residual_solver().solve(target)
-            else:
-                table = reconstruct(
+        with obs.span(
+            "serve.solve", "serve.solve_seconds",
+            self._solve_labels[method, "single"],
+        ):
+            try:
+                if method == "residual":
+                    return self._residual_solver().solve(target)
+                return reconstruct(
                     self._views, target, method=method,
                     use_covering_view=False, total=self._total,
                 )
-        except _SOLVE_FALLBACK_ERRORS:
-            if method != "residual":
-                raise
-            self._count_fallback(1)
-            table = reconstruct(
-                self._views, target, method="maxent",
-                use_covering_view=False, total=self._total,
-            )
-        obs.observe(
-            "serve.solve_seconds", perf_counter() - start,
-            self._solve_labels[method, "single"],
-        )
-        return table
+            except _SOLVE_FALLBACK_ERRORS:
+                if method != "residual":
+                    raise
+                self._count_fallback(1)
+                return reconstruct(
+                    self._views, target, method="maxent",
+                    use_covering_view=False, total=self._total,
+                )
 
     def _batch_solve(self, keys) -> dict:
         """Pre-solve a batch's uncovered misses, one stack per method.
@@ -557,31 +540,32 @@ class QueryEngine:
             if len(group) < 2:
                 continue
             targets = [key[0] for key in group]
-            start = perf_counter()
-            try:
-                if method == "residual":
-                    tables = self._residual_solver().solve_batch(targets)
-                else:
+            with obs.span(
+                "serve.solve", "serve.solve_seconds",
+                self._solve_labels[method, "batch"],
+            ) as solve:
+                try:
+                    if method == "residual":
+                        tables = self._residual_solver().solve_batch(targets)
+                    else:
+                        tables = reconstruct_batch(
+                            self._views, targets, method=method,
+                            use_covering_view=False, total=self._total,
+                        )
+                except _SOLVE_FALLBACK_ERRORS:
+                    if method != "residual":
+                        solve.histogram = None
+                        continue
+                    self._count_fallback(len(group))
                     tables = reconstruct_batch(
-                        self._views, targets, method=method,
+                        self._views, targets, method="maxent",
                         use_covering_view=False, total=self._total,
                     )
-            except _SOLVE_FALLBACK_ERRORS:
-                if method != "residual":
+                except ReproError:
+                    # e.g. residual over categorical views: a request
+                    # error, which the per-key route raises and counts
+                    solve.histogram = None
                     continue
-                self._count_fallback(len(group))
-                tables = reconstruct_batch(
-                    self._views, targets, method="maxent",
-                    use_covering_view=False, total=self._total,
-                )
-            except ReproError:
-                # e.g. residual over categorical views: a request
-                # error, which the per-key route raises and counts
-                continue
-            obs.observe(
-                "serve.solve_seconds", perf_counter() - start,
-                self._solve_labels[method, "batch"],
-            )
             obs.incr("serve.solve.batched", len(group))
             presolved.update(zip(group, tables))
         return presolved
@@ -636,23 +620,20 @@ class QueryEngine:
                 f"sample size {n} exceeds the per-request limit "
                 f"{MAX_SAMPLE_RECORDS}"
             )
-        start = perf_counter()
-        with obs.span("serve.sample"):
+        with obs.span(
+            "serve.sample", "serve.sample_seconds", (("dataset", self.dataset),)
+        ) as span:
             cold = self._sampler is None
             sampler = self.sampler()
             rows = sampler.sample(n, seed=seed)
-        elapsed = perf_counter() - start
         obs.incr("serve.sample.request")
-        obs.observe(
-            "serve.sample_seconds", elapsed, (("dataset", self.dataset),)
-        )
         return SampleAnswer(
             n=n,
             records=rows,
             domain=sampler.domain,
             population=sampler.population,
             epsilon=getattr(self.source, "epsilon", None),
-            elapsed_s=elapsed,
+            elapsed_s=span.duration,
             cold=cold,
         )
 

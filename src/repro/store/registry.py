@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import pathlib
 import shutil
-from time import gmtime, perf_counter, strftime, time
+from time import gmtime, strftime, time
 
 from repro import obs
 from repro.exceptions import StoreError, SynopsisIntegrityError
@@ -155,8 +155,9 @@ class SynopsisStore:
         from repro.core.serialization import load_synopsis
 
         path = self.object_path(info)
-        load_start = perf_counter()
-        with obs.span("store.load"):
+        with obs.span(
+            "store.load", "store.load_seconds", {"dataset": info.name}
+        ):
             obs.incr("store.load")
             if not path.exists():
                 raise StoreError(
@@ -171,11 +172,6 @@ class SynopsisStore:
                 synopsis = load_synopsis(path, verify=verify)
             except SynopsisIntegrityError:
                 self._quarantine(path, info, "payload-digest-mismatch")
-            obs.observe(
-                "store.load_seconds",
-                perf_counter() - load_start,
-                {"dataset": info.name},
-            )
             return synopsis
 
     def _quarantine(self, path: pathlib.Path, info: VersionInfo, actual):
@@ -216,8 +212,9 @@ class SynopsisStore:
             raise StoreError(
                 f"bad dataset name {name!r} (non-empty, no '@')"
             )
-        publish_start = perf_counter()
-        with obs.span("store.publish"):
+        with obs.span(
+            "store.publish", "store.publish_seconds", {"dataset": name}
+        ):
             tmp = artifacts.make_temp(
                 self.objects_dir, suffix=artifacts.OBJECT_SUFFIX
             )
@@ -263,11 +260,6 @@ class SynopsisStore:
                 entry.versions.append(info)
                 manifest.dump(self.manifest_path)
             obs.incr("store.publish")
-            obs.observe(
-                "store.publish_seconds",
-                perf_counter() - publish_start,
-                {"dataset": name},
-            )
             self._export_gauges(manifest)
             log.info("published %s (sha256 %s…, %d bytes)",
                      info.spec, sha[:12], size)

@@ -21,7 +21,6 @@ count; see ``docs/STREAMING.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -147,45 +146,44 @@ def answer_windows(
     same zero-drop path live serving uses — and the union is the
     cell-wise sum of the per-window count tables.
     """
-    start = perf_counter()
-    rows = list_windows(router.store, name)
-    if not rows:
-        raise QueryError(
-            f"unknown dataset {name!r} (or it has no released windows)"
-        )
-    selected = _select(rows, windows=windows, last=last)
-    slices: list[WindowSlice] = []
-    union_counts = None
-    resolved_method = method
-    for row in selected:
-        with router.lease(f"{name}@{row['version']}") as engine:
-            answer = engine.answer(attrs, method=method, timeout=timeout)
-        resolved_method = answer.method
-        slices.append(
-            WindowSlice(
-                index=int(row["index"]),
-                version=int(row["version"]),
-                start=float(row["start"]),
-                end=float(row["end"]),
-                records=int(row.get("records", 0)),
-                epsilon=row.get("epsilon"),
-                answer=answer,
+    with obs.span(
+        "serve.window", "serve.window.seconds", {"dataset": name}
+    ):
+        rows = list_windows(router.store, name)
+        if not rows:
+            raise QueryError(
+                f"unknown dataset {name!r} (or it has no released windows)"
             )
+        selected = _select(rows, windows=windows, last=last)
+        slices: list[WindowSlice] = []
+        union_counts = None
+        resolved_method = method
+        for row in selected:
+            with router.lease(f"{name}@{row['version']}") as engine:
+                answer = engine.answer(attrs, method=method, timeout=timeout)
+            resolved_method = answer.method
+            slices.append(
+                WindowSlice(
+                    index=int(row["index"]),
+                    version=int(row["version"]),
+                    start=float(row["start"]),
+                    end=float(row["end"]),
+                    records=int(row.get("records", 0)),
+                    epsilon=row.get("epsilon"),
+                    answer=answer,
+                )
+            )
+            if union_counts is None:
+                union_counts = answer.table.counts.copy()
+            else:
+                union_counts = union_counts + answer.table.counts
+        union = MarginalTable(
+            slices[0].answer.table.attrs,
+            np.asarray(union_counts),
+            meta={"windows": [s.index for s in slices]},
         )
-        if union_counts is None:
-            union_counts = answer.table.counts.copy()
-        else:
-            union_counts = union_counts + answer.table.counts
-    union = MarginalTable(
-        slices[0].answer.table.attrs,
-        np.asarray(union_counts),
-        meta={"windows": [s.index for s in slices]},
-    )
-    obs.incr("serve.window.requests")
-    obs.incr("serve.window.slices", len(slices))
-    obs.observe(
-        "serve.window.seconds", perf_counter() - start, {"dataset": name}
-    )
+        obs.incr("serve.window.requests")
+        obs.incr("serve.window.slices", len(slices))
     return WindowsAnswer(
         dataset=name,
         attrs=slices[0].answer.attrs,

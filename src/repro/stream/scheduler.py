@@ -25,7 +25,6 @@ the newest version with zero dropped requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro import obs
 from repro.core.priview import PriView
@@ -144,10 +143,12 @@ class WindowScheduler:
         """Fit and publish one closed window; returns its record."""
         epsilon = self.schedule.epsilon_for(window.index)
         mechanism = self.mechanism_factory(epsilon, window)
-        start = perf_counter()
         with obs.span("stream.release"):
-            synopsis = mechanism.fit(window.shard)
-            fit_seconds = perf_counter() - start
+            with obs.span(
+                "stream.fit", "stream.window.fit_seconds",
+                {"dataset": self.dataset},
+            ) as fit:
+                synopsis = mechanism.fit(window.shard)
             meta = window.meta()
             meta["epsilon"] = epsilon
             late = getattr(self.policy, "late_events", 0)
@@ -156,18 +157,13 @@ class WindowScheduler:
             info = self.store.publish(
                 self.dataset,
                 synopsis,
-                fit_seconds=fit_seconds,
+                fit_seconds=fit.duration,
                 extra={"window": meta},
             )
             if self.keep_last is not None:
                 self.store.prune(self.dataset, keep_last=self.keep_last)
         obs.incr("stream.publish")
         obs.incr("stream.records", window.num_records)
-        obs.observe(
-            "stream.window.fit_seconds",
-            fit_seconds,
-            {"dataset": self.dataset},
-        )
         return WindowRecord(
             index=window.index,
             start=window.start,
@@ -176,7 +172,7 @@ class WindowScheduler:
             records=window.num_records,
             epsilon=epsilon,
             version=info.version,
-            fit_seconds=fit_seconds,
+            fit_seconds=fit.duration,
         )
 
     def run(self, events, on_release=None) -> list[WindowRecord]:

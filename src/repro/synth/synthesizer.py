@@ -171,10 +171,9 @@ class Synthesizer:
         carries the per-round accepted error ``history`` (monotone
         non-increasing) and round/move counters.
         """
-        from time import perf_counter
-
-        fit_start = perf_counter()
-        with obs.span("synth.fit"), obs.budget_scope("Synthesizer.fit", 0.0):
+        with obs.span("synth.fit", "synth.fit_seconds"), obs.budget_scope(
+            "Synthesizer.fit", 0.0
+        ):
             domain = domain_of(synopsis)
             specs = _view_specs(synopsis)
             if num_records is None:
@@ -202,9 +201,8 @@ class Synthesizer:
             total_moved = 0
             accepted = 0
             for _ in range(self.rounds):
-                round_start = perf_counter()
                 snapshot = records.copy(), [c.copy() for c in cells]
-                with obs.span("synth.update"):
+                with obs.span("synth.update", "synth.update_seconds"):
                     moved = 0
                     for i, spec in enumerate(specs):
                         moving = self._update_view(
@@ -216,9 +214,6 @@ class Synthesizer:
                             cells[j][moving] = specs[j].cells(rows)
                         moved += moving.size
                 candidate = self._mean_l1(cells, specs, n)
-                obs.observe(
-                    "synth.update_seconds", perf_counter() - round_start
-                )
                 if moved == 0:
                     break
                 if candidate > error - _L1_SLACK:
@@ -235,7 +230,6 @@ class Synthesizer:
                 total_moved += moved
             obs.incr("synth.rounds", accepted)
             obs.incr("synth.records_moved", total_moved)
-            obs.observe("synth.fit_seconds", perf_counter() - fit_start)
             obs.set_gauge("synth.population", n)
         return SyntheticRecords(
             data=records,

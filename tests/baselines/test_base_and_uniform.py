@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.uniform import UniformMethod
 from repro.exceptions import PrivacyBudgetError, ReconstructionError
+from repro.marginals.dataset import Dataset
 
 
 class TestProtocol:
@@ -38,3 +39,14 @@ class TestUniform:
     def test_noise_free(self, tiny_dataset):
         mech = UniformMethod(float("inf"), seed=0).fit(tiny_dataset)
         assert mech.marginal((0,)).total() == pytest.approx(500.0)
+
+    def test_categorical_cells_follow_arities(self):
+        """A categorical fit answers over the dataset's domain: the
+        (0, 2) marginal of arities (3, 2, 4, 2) has 3 * 4 cells."""
+        dataset = Dataset.random(
+            1000, (3, 2, 4, 2), rng=np.random.default_rng(0)
+        )
+        table = UniformMethod(1.0, seed=0).fit(dataset).marginal((2, 0))
+        assert table.attrs.arities == (3, 4)
+        assert table.counts.shape == (12,)
+        assert np.allclose(table.counts, table.total() / 12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.direct import DirectMethod, direct_expected_squared_error
+from repro.marginals.dataset import Dataset
 
 
 class TestDirectMethod:
@@ -27,6 +28,26 @@ class TestDirectMethod:
         first = mech.marginal((0, 1))
         second = mech.marginal((0, 1))
         assert np.array_equal(first.counts, second.counts)
+
+    def test_categorical_answers_cached_per_marginal(self):
+        """A categorical release is one-shot too: repeated queries for
+        one marginal return the same noisy table, so averaging them
+        cannot wash the noise out."""
+        dataset = Dataset.random(
+            1000, (3, 2, 4, 2), rng=np.random.default_rng(0)
+        )
+        mech = DirectMethod(1.0, 2, nonnegativity="simple", seed=1).fit(
+            dataset
+        )
+        first = mech.marginal((0, 2))
+        assert first.attrs.arities == (3, 4)
+        # the first draw: Lap(C(4, 2) / epsilon) per cell, clamped at 0
+        noise = np.random.default_rng(1).laplace(0.0, 6.0, 12)
+        expected = np.maximum(dataset.marginal((0, 2)).counts + noise, 0.0)
+        assert np.array_equal(first.counts, expected)
+        for _ in range(3):
+            assert np.array_equal(mech.marginal((0, 2)).counts, first.counts)
+        assert (first.counts >= 0).all()
 
     def test_returned_copy_isolated(self, tiny_dataset):
         mech = DirectMethod(1.0, 2, seed=0).fit(tiny_dataset)

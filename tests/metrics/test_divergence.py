@@ -47,6 +47,16 @@ class TestJensenShannon:
         q = np.array([0.0, 1.0])
         assert jensen_shannon(p, q) == pytest.approx(np.log(2))
 
+    def test_finite_when_mean_underflows(self):
+        """Halving the subnormal p + q = 5e-324 rounds to 0; the terms
+        must not divide by it."""
+        p = np.array([0.5, 0.5, 5e-324])
+        q = np.array([0.5, 0.5, 0.0])
+        value = jensen_shannon(p, q)
+        assert np.isfinite(value)
+        assert value == pytest.approx(0.0, abs=1e-300)
+        assert jensen_shannon(q, p) == value
+
     def test_symmetric(self, rng):
         p, q = rng.random(8), rng.random(8)
         assert jensen_shannon(p, q) == pytest.approx(jensen_shannon(q, p))

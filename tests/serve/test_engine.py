@@ -85,7 +85,7 @@ class TestAnswer:
         with pytest.raises(QueryError):
             engine.answer((0, 1), method="magic")
         with pytest.raises(QueryError):
-            QueryEngine(engine.synopsis, default_method="magic")
+            QueryEngine(engine.source, default_method="magic")
 
     def test_timeout_raises_504_semantics(self, chain_synopsis, monkeypatch):
         real = engine_module.reconstruct
@@ -156,6 +156,37 @@ class TestStatsAccounting:
         assert sess.metrics.gauge("serve.cache.size") == stats["cache"]["size"]
         latency = sess.metrics.observation("serve.request_seconds")
         assert latency["count"] == stats["requests"]
+
+    def test_request_spans_feed_histograms_without_tracing(self, chain_synopsis):
+        """In an untraced session the request span still times every
+        answer into its path series; the lookup histogram takes every
+        miss but a hit only when the request is trace-sampled."""
+        with obs.session(trace=False) as sess:
+            with QueryEngine(chain_synopsis) as engine:
+                first = engine.answer((0, 4))
+                engine.answer((0, 4))
+                with obs.trace_scope(obs.new_context(sampled=True)):
+                    engine.answer((0, 4))
+                with pytest.raises(QueryError):
+                    engine.answer((0, 99))
+            metrics = sess.metrics
+            lookup = {
+                outcome: metrics.observation(
+                    "serve.cache.lookup_seconds", {"outcome": outcome}
+                )
+                for outcome in ("hit", "miss")
+            }
+            solved = metrics.observation(
+                "serve.request_seconds", {"path": first.path}
+            )
+            errors = metrics.observation(
+                "serve.request_seconds", {"path": "error"}
+            )
+        assert lookup["miss"]["count"] == 1
+        assert lookup["hit"]["count"] == 1
+        assert solved["count"] == 3
+        assert solved["min"] <= first.elapsed_s <= solved["max"]
+        assert errors["count"] == 1
 
 
 class TestSynopsisRouting:
