@@ -21,7 +21,7 @@ from repro.baselines.base import (
 from repro.baselines.uniform import UniformMethod
 from repro.baselines.flat import FlatMethod, flat_expected_normalized_l2
 from repro.baselines.direct import DirectMethod
-from repro.baselines.fourier import FourierMethod, FourierLPMethod, walsh_hadamard
+from repro.baselines.fourier import FourierMethod, FourierLPMethod
 from repro.baselines.mwem import MWEMMethod
 from repro.baselines.matrix_mechanism import (
     MatrixMechanism,
@@ -40,7 +40,6 @@ __all__ = [
     "DirectMethod",
     "FourierMethod",
     "FourierLPMethod",
-    "walsh_hadamard",
     "MWEMMethod",
     "MatrixMechanism",
     "marginal_workload_matrix",

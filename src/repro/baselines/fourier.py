@@ -32,32 +32,12 @@ from scipy import optimize
 from repro import obs
 from repro.baselines.base import MarginalReleaseMechanism
 from repro.core.nonnegativity import apply_nonnegativity
-from repro.exceptions import DimensionError, ReconstructionError
+from repro.core.reconstruction.residual import fwht
+from repro.exceptions import ReconstructionError
 from repro.marginals.contingency import FullContingencyTable
 from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 from repro.mechanisms.laplace import laplace_variance, noisy_counts
-
-
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of a length-2**m vector.
-
-    ``out[beta] = sum_a (-1)^{popcount(beta & a)} * values[a]``.  The
-    transform is an involution up to the factor ``2**m``.
-    """
-    values = np.asarray(values, dtype=np.float64).copy()
-    n = values.size
-    if n & (n - 1):
-        raise DimensionError(f"length must be a power of two, got {n}")
-    h = 1
-    while h < n:
-        blocks = values.reshape(-1, 2 * h)
-        left = blocks[:, :h].copy()
-        right = blocks[:, h:].copy()
-        blocks[:, :h] = left + right
-        blocks[:, h:] = left - right
-        h *= 2
-    return values
 
 
 def fourier_coefficient_count(num_attributes: int, k_max: int) -> int:
@@ -102,14 +82,14 @@ class FourierMethod(MarginalReleaseMechanism):
             )
         if attrs not in self._cache:
             true = self._dataset.marginal(attrs)
-            theta = walsh_hadamard(true.counts)
+            theta = fwht(true.counts)
             # Lazily sampled release (see Direct): give the query-time
             # draw a named scope so ledger audits can attribute it.
             with obs.budget_scope(
                 f"{self.name}.lazy_release", self.epsilon, strict=False
             ):
                 theta = noisy_counts(theta, self.epsilon, self._m, self._rng)
-            counts = walsh_hadamard(theta) / true.size
+            counts = fwht(theta) / true.size
             table = MarginalTable(attrs, counts)
             apply_nonnegativity(table, self.nonnegativity)
             self._cache[attrs] = table
@@ -147,7 +127,7 @@ class FourierLPMethod(MarginalReleaseMechanism):
     def _fit(self, dataset: Dataset) -> None:
         d = dataset.num_attributes
         full = FullContingencyTable.from_dataset(dataset)
-        theta = walsh_hadamard(full.counts)
+        theta = fwht(full.counts)
         weights = _coefficient_weights(d)
         released = np.flatnonzero(weights <= self.k_max)
         m = released.size
@@ -207,7 +187,7 @@ class FourierLPMethod(MarginalReleaseMechanism):
         # negatives clamped (FourierLP degenerates to Fourier).
         padded = np.zeros(n)
         padded[released] = noisy
-        cells = walsh_hadamard(padded) / n
+        cells = fwht(padded) / n
         return np.maximum(cells, 0.0)
 
     def _marginal(self, attrs: tuple[int, ...]) -> MarginalTable:

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.base import MarginalReleaseMechanism
-from repro.baselines.fourier import fourier_coefficient_count, walsh_hadamard
+from repro.baselines.fourier import fourier_coefficient_count
+from repro.core.reconstruction.residual import fwht
 from repro.marginals.dataset import Dataset
 from repro.marginals.table import MarginalTable
 
@@ -75,7 +76,7 @@ class LearningMethod(MarginalReleaseMechanism):
     def _marginal(self, attrs: tuple[int, ...]) -> MarginalTable:
         if attrs not in self._cache:
             true = self._dataset.marginal(attrs)
-            theta = walsh_hadamard(true.counts)
+            theta = fwht(true.counts)
             weights = np.bitwise_count(
                 np.arange(true.size, dtype=np.uint64)
             ).astype(np.int64)
@@ -100,6 +101,6 @@ class LearningMethod(MarginalReleaseMechanism):
                         draws=int(kept.sum()),
                         label="learning_coefficients",
                     )
-            counts = walsh_hadamard(theta) / true.size
+            counts = fwht(theta) / true.size
             self._cache[attrs] = MarginalTable(attrs, counts)
         return self._cache[attrs].copy()

@@ -22,7 +22,7 @@ from repro.core.view_selection import (
     priview_noise_error,
     select_views,
 )
-from repro.core.consistency import intersection_closure, make_consistent
+from repro.core.consistency import make_consistent
 from repro.core.nonnegativity import apply_nonnegativity, ripple
 from repro.core.serialization import load_synopsis, save_synopsis
 
@@ -32,7 +32,6 @@ __all__ = [
     "choose_strength",
     "priview_noise_error",
     "select_views",
-    "intersection_closure",
     "make_consistent",
     "apply_nonnegativity",
     "ripple",

@@ -9,11 +9,10 @@ every ``b_j`` is 2, so the value is bit ``j`` of ``i``.
 The central object is the *projection map*: for a table and a
 sub-table over a subset of its attributes, the map sends each parent
 cell to the sub-table cell it contributes to.  Projection is then a
-weighted bincount over this map, and the consistency update of
-Section 4.4 is a gather through it.
+weighted bincount over this map.
 
 Every helper here is memoised: the same subset→index maps recur
-constantly across consistency passes, Ripple, the reconstruction
+constantly across projections, Ripple, the reconstruction
 constraint builders and the serving engine, so each distinct map is
 built once per process and shared (returned arrays are read-only).
 Caches keyed on attribute tuples also key on the arities, because
@@ -103,9 +102,9 @@ def subset_positions(attrs: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int,
 def projection_index(attrs, sub) -> tuple[tuple[int, ...], np.ndarray]:
     """One-stop cached ``(positions, projection map)`` for a subset pair.
 
-    The common lookup on the table/consistency/serving hot paths:
-    resolving ``sub`` inside ``attrs`` and building the cell map used by
-    projections and consistency updates, in a single cache probe keyed
+    The common lookup on the table and serving hot paths: resolving
+    ``sub`` inside ``attrs`` and building the cell map used by
+    projections, in a single cache probe keyed
     on the *attribute* tuples (not positions) plus the arities that
     ``attrs`` carries (none for a binary table).
     """
@@ -116,28 +115,6 @@ def projection_index(attrs, sub) -> tuple[tuple[int, ...], np.ndarray]:
 def _projection_index(attrs, sub, arities):
     positions = subset_positions(tuple(attrs), tuple(sub))
     return positions, projection_map(arities or (2,) * len(attrs), positions)
-
-
-@functools.lru_cache(maxsize=4096)
-def embedding_masks(k: int, positions: tuple[int, ...]) -> np.ndarray:
-    """Cell masks of a binary ``k``-attribute table spanned by ``positions``.
-
-    Entry ``s`` of the returned length-``2**len(positions)`` int64
-    array is the ``k``-bit mask obtained by scattering the bits of
-    ``s`` onto ``positions`` (bit ``r`` of ``s`` lands on bit
-    ``positions[r]``).  In the Walsh–Hadamard (residual) basis these
-    are exactly the coefficient indices of ``T_A`` that the marginal
-    over the sub-attributes at ``positions`` determines — the inverse
-    direction of :func:`projection_map`, used by the binary-only
-    residual reconstruction solver.
-    """
-    _check_positions(k, positions)
-    sub = np.arange(1 << len(positions), dtype=np.int64)
-    out = np.zeros(1 << len(positions), dtype=np.int64)
-    for rank, pos in enumerate(positions):
-        out |= ((sub >> rank) & 1) << pos
-    out.setflags(write=False)
-    return out
 
 
 @functools.lru_cache(maxsize=1024)

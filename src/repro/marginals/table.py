@@ -7,9 +7,6 @@ on the table's :class:`~repro.marginals.attrs.AttrSet`, and a set
 without arities is binary.  It supports the operations PriView needs:
 
 * ``project`` — the paper's ``T_A[A']`` (Section 4.1, Notation);
-* ``consistency_update`` — the mutual-consistency cell update of
-  Section 4.4, which Section 4.7 applies unchanged to categorical
-  attributes;
 * ``normalized`` — the paper's ``norm(T_A)`` used by the JS divergence.
 """
 
@@ -102,7 +99,7 @@ class MarginalTable:
         return MarginalTable(self.attrs, self.counts.copy(), dict(self.meta))
 
     # ------------------------------------------------------------------
-    # Projection and consistency
+    # Projection
     # ------------------------------------------------------------------
     def project(self, sub_attrs) -> "MarginalTable":
         """The marginal over ``sub_attrs`` obtained by summing cells.
@@ -118,21 +115,6 @@ class MarginalTable:
             sub = sub.with_arities(arities[p] for p in positions)
         counts = np.bincount(pmap, weights=self.counts, minlength=sub.size)
         return MarginalTable(sub, counts)
-
-    def consistency_update(self, target: "MarginalTable") -> None:
-        """Shift cells so that ``self.project(target.attrs) == target``.
-
-        Implements the Section 4.4 update: every cell ``c`` receives
-        ``(T_A(a) - T_self[A](a)) / (size / |A's cells|)`` where ``a``
-        is ``c`` restricted to ``A = target.attrs`` — the number of
-        cells collapsing onto each target cell, ``2**(arity - |A|)``
-        for binary tables.  The projection of ``self`` onto any
-        attribute set disjoint from ``A`` is unchanged (Lemma 1).
-        """
-        _, pmap = projection_index(self.attrs, target.attrs)
-        current = np.bincount(pmap, weights=self.counts, minlength=target.size)
-        delta = (target.counts - current) / float(self.size // target.size)
-        self.counts += delta[pmap]
 
     # ------------------------------------------------------------------
     # Normalisation and comparison helpers

@@ -490,9 +490,7 @@ class QueryEngine:
         one that blows up (singular system, NaN noise in a view) falls
         back to ``maxent`` — the answer is cached under the *requested*
         method's key, and the fallback is counted in
-        ``serve.solve.fallback`` and the engine stats.  Residual over
-        categorical views is a request error (``DimensionError``), not
-        a fallback.
+        ``serve.solve.fallback`` and the engine stats.
         """
         with obs.span(
             "serve.solve", "serve.solve_seconds",
@@ -562,8 +560,9 @@ class QueryEngine:
                         use_covering_view=False, total=self._total,
                     )
                 except ReproError:
-                    # e.g. residual over categorical views: a request
-                    # error, which the per-key route raises and counts
+                    # e.g. a categorical target over an attribute no
+                    # view holds, so no arity: a request error, which
+                    # the per-key route raises and counts
                     solve.histogram = None
                     continue
             obs.incr("serve.solve.batched", len(group))

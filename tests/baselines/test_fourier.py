@@ -10,36 +10,38 @@ from repro.baselines.fourier import (
     FourierMethod,
     fourier_coefficient_count,
     fourier_expected_squared_error,
-    walsh_hadamard,
 )
-from repro.exceptions import DimensionError, ReconstructionError
+from repro.core.reconstruction.residual import fwht
+from repro.exceptions import ReconstructionError
 
 
 class TestWalshHadamard:
+    """The shared transform the Fourier and Learning baselines use."""
+
     def test_involution(self, rng):
         v = rng.random(32)
-        assert np.allclose(walsh_hadamard(walsh_hadamard(v)) / 32, v)
+        assert np.allclose(fwht(fwht(v)) / 32, v)
 
     def test_coefficient_zero_is_sum(self, rng):
         v = rng.random(16)
-        assert walsh_hadamard(v)[0] == pytest.approx(v.sum())
+        assert fwht(v)[0] == pytest.approx(v.sum())
 
     def test_known_transform(self):
-        assert np.allclose(walsh_hadamard(np.array([1.0, 0.0])), [1.0, 1.0])
-        assert np.allclose(walsh_hadamard(np.array([0.0, 1.0])), [1.0, -1.0])
+        assert np.allclose(fwht(np.array([1.0, 0.0])), [1.0, 1.0])
+        assert np.allclose(fwht(np.array([0.0, 1.0])), [1.0, -1.0])
 
     def test_input_not_modified(self):
         v = np.array([1.0, 2.0])
-        walsh_hadamard(v)
+        fwht(v)
         assert np.array_equal(v, [1.0, 2.0])
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(DimensionError):
-            walsh_hadamard(np.zeros(3))
+        with pytest.raises(ReconstructionError):
+            fwht(np.zeros(3))
 
     def test_parseval(self, rng):
         v = rng.random(64)
-        transformed = walsh_hadamard(v)
+        transformed = fwht(v)
         assert (transformed**2).sum() == pytest.approx(64 * (v**2).sum())
 
 

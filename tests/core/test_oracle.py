@@ -5,9 +5,11 @@ can be checked against the full contingency table of the data:
 
 * a covered target must equal the data marginal;
 * a solved target must reproduce the data marginal on every view's
-  share of the target, whatever the reconstruction method (``residual``
-  on binary domains only), and the non-negative methods must not
-  return negative cells.
+  share of the target, whatever the reconstruction method, and the
+  non-negative methods must not return negative cells.  A ``residual``
+  answer meets the views before its local non-negativity step; the
+  simplex projection then moves at most twice the negative mass it
+  records in ``meta["residual"]``, and the check allows exactly that.
 """
 
 from __future__ import annotations
@@ -88,19 +90,20 @@ def test_covered_targets_equal_the_data(domain):
 
 @pytest.mark.parametrize("method", RECONSTRUCTION_METHODS)
 def test_solved_targets_meet_every_view(domain, method):
-    kind, data, synopsis, full = domain
+    _, data, synopsis, full = domain
     targets = _targets(synopsis, data.num_attributes, covered=False)[:8]
     assert targets
-    if method == "residual" and kind == "categorical":
-        pytest.skip("residual reconstruction is binary-only")
     for attrs in targets:
         answer = synopsis.marginal(attrs, method=method)
         assert answer.attrs.radix == full.project(attrs).attrs.radix
+        moved = 0.0
+        if method == "residual":
+            moved = 2 * answer.meta["residual"]["negative_mass"] / answer.total()
         for view in synopsis.views:
             shared = tuple(a for a in attrs if a in view.attrs)
             if not shared:
                 continue
             gap = _gap(answer.project(shared).counts, full.project(shared).counts)
-            assert gap <= SOLVED_RTOL, (attrs, shared, gap)
+            assert gap <= SOLVED_RTOL + moved, (attrs, shared, gap)
         if method in NON_NEGATIVE:
             assert answer.counts.min() >= -NEGATIVE_ATOL, attrs

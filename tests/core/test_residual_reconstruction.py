@@ -37,7 +37,7 @@ from repro.covering.design import CoveringDesign
 from repro.exceptions import ReconstructionError
 from repro.marginals.attrs import AttrSet
 from repro.marginals.dataset import Dataset
-from repro.marginals.projection import embedding_masks, subset_positions
+from repro.marginals.projection import subset_positions
 from repro.marginals.table import MarginalTable
 
 
@@ -63,6 +63,16 @@ def _random_blocks(rng, d, block_size, num_blocks):
         ]
         if len({a for b in blocks for a in b}) == d:
             return blocks
+
+
+def embedding_masks(k: int, positions: tuple[int, ...]) -> list[int]:
+    """The coefficient masks of a binary ``k``-attribute table that the
+    sub-marginal at ``positions`` determines: bit ``r`` of each
+    sub-mask scattered onto bit ``positions[r]``."""
+    return [
+        sum((sub >> r & 1) << p for r, p in enumerate(positions))
+        for sub in range(1 << len(positions))
+    ]
 
 
 def _views_of(truth, blocks):

@@ -14,6 +14,7 @@ from repro.marginals.projection import (
     strides,
     subset_positions,
 )
+from tests.core.test_consistency import consistency_update
 
 
 class TestProjectionMap:
@@ -133,11 +134,12 @@ class TestArityCacheKey:
     def test_consistency_update_uses_its_own_map(self):
         three = MarginalTable(AttrSet((0, 1), arities=(3, 2)), np.zeros(6))
         two = MarginalTable(AttrSet((0, 1), arities=(2, 2)), np.zeros(4))
-        three.consistency_update(
-            MarginalTable(AttrSet((0,), arities=(3,)), np.array([2.0, 4.0, 6.0]))
+        consistency_update(
+            three,
+            MarginalTable(AttrSet((0,), arities=(3,)), np.array([2.0, 4.0, 6.0])),
         )
-        two.consistency_update(
-            MarginalTable(AttrSet((0,), arities=(2,)), np.array([2.0, 4.0]))
+        consistency_update(
+            two, MarginalTable(AttrSet((0,), arities=(2,)), np.array([2.0, 4.0]))
         )
         assert np.allclose(three.counts, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
         assert np.allclose(two.counts, [1.0, 2.0, 1.0, 2.0])

@@ -1,4 +1,5 @@
-"""Tests for MarginalTable: indexing, projection, consistency update."""
+"""Tests for MarginalTable: indexing, projection, and the Section 4.4
+consistency update (kept as a test-side reference) on tables."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DimensionError
 from repro.marginals.table import MarginalTable
+from tests.core.test_consistency import consistency_update
 
 
 class TestConstruction:
@@ -103,8 +105,8 @@ class TestConsistencyUpdate:
         assert np.allclose(p2, [0.5, 0.5])
         target = MarginalTable((1,), (p1 + p2) / 2)
         assert np.allclose(target.counts, [0.55, 0.45])
-        t1.consistency_update(target)
-        t2.consistency_update(target)
+        consistency_update(t1, target)
+        consistency_update(t2, target)
         assert np.allclose(t1.counts, [0.275, 0.325, 0.275, 0.125])
         assert np.allclose(t2.counts, [0.225, 0.075, 0.325, 0.375])
         # marginals on the other attributes unchanged
@@ -114,13 +116,13 @@ class TestConsistencyUpdate:
     def test_update_reaches_target(self, rng):
         table = MarginalTable((0, 2, 4), rng.random(8) * 10)
         target = MarginalTable((2,), np.array([7.0, 3.0]))
-        table.consistency_update(target)
+        consistency_update(table, target)
         assert np.allclose(table.project((2,)).counts, target.counts)
 
     def test_update_to_empty_set_rescales_total(self, rng):
         table = MarginalTable((0, 1), rng.random(4))
         target = MarginalTable((), np.array([100.0]))
-        table.consistency_update(target)
+        consistency_update(table, target)
         assert table.total() == pytest.approx(100.0)
 
     @given(data=st.data())
@@ -149,7 +151,7 @@ class TestConsistencyUpdate:
             (0,), table.project((0,)).counts + perturbation
         )
         before = table.project((1, 3)).counts.copy()
-        table.consistency_update(target)
+        consistency_update(table, target)
         assert np.allclose(table.project((1, 3)).counts, before, atol=1e-8)
         assert np.allclose(table.project((0,)).counts, target.counts, atol=1e-8)
 

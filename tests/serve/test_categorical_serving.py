@@ -1,21 +1,21 @@
 """A categorical synopsis gets the full planner: covered, derived, solved.
 
 Categorical views are ordinary :class:`MarginalTable` objects with
-arities, so the engine plans against them like binary ones; only
-``residual``, whose basis is binary, is refused — as a request error,
-never as a silent fallback to ``maxent``.
+arities, so the engine plans against them like binary ones, and every
+solver, ``residual`` included, answers over them.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import urllib.request
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.priview import PriView
-from repro.exceptions import DimensionError, RemoteQueryError
 from repro.marginals.dataset import Dataset
 from repro.serve import (
     PATH_COVERED,
@@ -26,7 +26,7 @@ from repro.serve import (
     QueryClient,
     QueryEngine,
 )
-from repro.serve.protocol import encode_answer
+from repro.serve.protocol import decode_table, encode_answer
 
 
 @pytest.fixture(scope="module")
@@ -96,22 +96,52 @@ def test_binary_answers_carry_no_arities(chain_synopsis):
     assert "arities" not in solved
 
 
-def test_residual_is_a_request_error_not_a_fallback(synopsis):
-    small, _ = _uncovered_with_superset(synopsis)
+def _moved(table) -> float:
+    """The share of mass a residual answer's simplex projection moved:
+    at most twice the negative mass it records."""
+    return 2 * table.meta["residual"]["negative_mass"] / table.total()
+
+
+def _meets_every_view(synopsis, table, moved: float) -> None:
+    """``table`` agrees with each view on their shared attributes, up to
+    ``moved``."""
+    for view in synopsis.views:
+        shared = tuple(a for a in table.attrs if a in view.attrs)
+        if shared:
+            diff = table.project(shared).counts - view.project(shared).counts
+            gap = float(np.abs(diff).sum()) / table.total()
+            assert gap <= 1e-9 + moved, (tuple(table.attrs), shared, gap)
+
+
+def test_residual_answers_and_meets_every_view(synopsis):
+    small, big = _uncovered_with_superset(synopsis)
     with obs.session(ledger=False) as sess:
         engine = QueryEngine(synopsis)
         with MarginalServer(engine, port=0) as server, \
                 QueryClient(server.url) as client:
-            with pytest.raises(RemoteQueryError) as caught:
-                client.marginal(small, method="residual")
-            with pytest.raises(RemoteQueryError) as batch:
-                client.batch([small, small[:2] + (5,)], method="residual")
+            request = urllib.request.Request(
+                server.url + "/v1/marginal",
+                data=json.dumps({"attrs": list(big), "method": "residual"}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request) as response:
+                status = response.status
+                single = decode_table(json.loads(response.read()))
+            batch = client.batch(
+                [small, small[:2] + (5,)], method="residual"
+            )["answers"]
         fallbacks = sess.metrics.counter("serve.solve.fallback")
-    assert caught.value.status == 400
-    assert caught.value.error_type == DimensionError.__name__
-    assert "binary-only" in str(caught.value)
-    assert batch.value.status == 400
+    assert status == 200
+    assert single.arities == tuple(synopsis.arities[a] for a in big)
+    _meets_every_view(synopsis, single, _moved(single))
+    derived, solved = batch
+    assert derived["path"] == PATH_DERIVED
+    assert tuple(derived["source"]) == big
+    _meets_every_view(synopsis, decode_table(derived), _moved(single))
+    assert solved["path"] == PATH_SOLVED
+    solved = decode_table(solved)
+    _meets_every_view(synopsis, solved, _moved(solved))
     stats = engine.stats()
-    assert stats["paths"][PATH_ERROR] >= 1
+    assert stats["paths"][PATH_ERROR] == 0
     assert stats["solve"]["fallbacks"] == 0
     assert fallbacks == 0

@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines.fourier import fourier_coefficient_count, walsh_hadamard
+from repro.baselines.fourier import fourier_coefficient_count
+from repro.core.reconstruction.residual import fwht
 from repro.covering.repository import best_design
 from repro.marginals.contingency import FullContingencyTable
 from repro.marginals.dataset import Dataset
@@ -73,10 +74,10 @@ class TestFourierSensitivity:
         rng = np.random.default_rng(7)
         d = 6
         base, grown = _neighbours(rng, d=d)
-        theta_base = walsh_hadamard(
+        theta_base = fwht(
             FullContingencyTable.from_dataset(base).counts
         )
-        theta_grown = walsh_hadamard(
+        theta_grown = fwht(
             FullContingencyTable.from_dataset(grown).counts
         )
         weights = np.bitwise_count(np.arange(1 << d, dtype=np.uint64))
