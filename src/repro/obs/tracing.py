@@ -20,8 +20,14 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
+from types import MappingProxyType
 
 from repro.obs import propagation
+
+#: what a span holds until its first child or counter arrives, so a
+#: span that only feeds a histogram allocates neither container
+_NO_CHILDREN: tuple = ()
+_NO_COUNTERS = MappingProxyType({})
 
 
 class Span:
@@ -56,8 +62,8 @@ class Span:
         self.name = name
         self.start = 0.0
         self.duration = 0.0
-        self.children: list[Span] = []
-        self.counters: dict[str, float] = {}
+        self.children = _NO_CHILDREN
+        self.counters = _NO_COUNTERS
         self.trace_id: str | None = None
         self.histogram = histogram
         self.labels = labels
@@ -85,7 +91,15 @@ class Span:
     # -- bookkeeping ----------------------------------------------------
     def incr(self, name: str, value: float = 1) -> None:
         """Add ``value`` to this span's local counter ``name``."""
+        if self.counters is _NO_COUNTERS:
+            self.counters = {}
         self.counters[name] = self.counters.get(name, 0) + value
+
+    def adopt(self, child: "Span") -> None:
+        """Append ``child`` to this span's children."""
+        if self.children is _NO_CHILDREN:
+            self.children = []
+        self.children.append(child)
 
     def walk(self):
         """Yield this span and every descendant, depth first."""
@@ -144,7 +158,7 @@ class Tracer:
     def _push(self, span: Span) -> None:
         stack = self._stack()
         if stack:
-            stack[-1].children.append(span)
+            stack[-1].adopt(span)
         stack.append(span)
 
     def _pop(self, span: Span) -> None:

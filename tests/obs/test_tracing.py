@@ -132,3 +132,23 @@ def test_root_cap_drops_overflow():
                 pass
     assert len(sess.tracer.roots) == 3
     assert sess.tracer.dropped_roots == 2
+
+
+def test_leaf_spans_allocate_no_containers():
+    """A span gets its children list and counters dict on first use,
+    so a histogram-only or leaf span allocates neither."""
+    timer = obs.span("timed", histogram="timed.seconds")
+    with timer:
+        pass
+    assert timer.children == () and not timer.counters
+    with obs.session() as sess:
+        with obs.span("outer"):
+            with obs.span("leaf"):
+                pass
+            obs.incr("hits")
+        (outer,) = sess.tracer.roots
+    assert [c.name for c in outer.children] == ["leaf"]
+    assert outer.counters == {"hits": 1}
+    leaf = outer.children[0]
+    assert leaf.children == () and not leaf.counters
+    assert leaf.to_dict() == {"name": "leaf", "duration": leaf.duration}
