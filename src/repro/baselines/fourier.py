@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from repro import obs
 from repro.baselines.base import MarginalReleaseMechanism
@@ -161,6 +160,8 @@ class FourierLPMethod(MarginalReleaseMechanism):
         to the plain inverse transform with negatives clamped, which
         is the method without its LP step.
         """
+        from scipy import optimize
+
         n = 1 << d
         # Rows of the WHT restricted to the released coefficients.
         basis = np.empty((released.size, n))

@@ -12,10 +12,11 @@ requested solver combines the views' partial information:
 * ``lsq`` — least-L2-norm solution ("CLN");
 * ``lp`` — min-max-violation linear program ("LP"/"CLP").
 
-:func:`reconstruct_batch` answers a whole workload of targets at once:
-``residual`` targets of one shape share one stacked transform and
-``maxent`` targets share vectorised IPF sweeps, so a serving batch of
-uncovered queries costs one solve instead of N.
+:func:`reconstruct_batch` answers a whole workload of targets at once,
+and :func:`reconstruct` is a batch of one.  ``residual`` targets of one
+shape share one stacked transform and ``maxent`` targets of one shape
+share vectorised IPF sweeps; a target alone in its shape gets the
+single solve, so its answer never depends on the rest of the batch.
 
 Views and targets may be binary or categorical: a target takes its
 arities from the views (:func:`resolve_target`), and every solver
@@ -52,39 +53,26 @@ from repro.core.reconstruction.residual import (
 from repro.exceptions import ReconstructionError
 from repro.marginals.table import MarginalTable
 
-_SOLVERS = {
-    "maxent": maxent,
-    "maxent-dual": maxent_dual,
-    "residual": residual,
-    "lsq": least_squares,
-    "lp": linear_program,
-}
+def _each(solver):
+    """A batch solver that runs ``solver`` once per target, for methods
+    without a stacked implementation."""
 
-#: solvers with a dedicated stacked implementation; everything else
-#: falls back to a per-target loop inside :func:`reconstruct_batch`.
-_BATCH_SOLVERS = {
+    def solve(constraint_lists, targets, total):
+        return [solver(c, t, total) for c, t in zip(constraint_lists, targets)]
+
+    return solve
+
+
+#: method -> batch solver ``(constraint_lists, targets, total) -> tables``
+_SOLVERS = {
     "maxent": maxent_batch,
+    "maxent-dual": _each(maxent_dual),
     "residual": residual_batch,
+    "lsq": _each(least_squares),
+    "lp": _each(linear_program),
 }
 
 RECONSTRUCTION_METHODS = tuple(_SOLVERS)
-
-
-def _check_method(method: str) -> None:
-    if method not in _SOLVERS:
-        raise ReconstructionError(
-            f"unknown reconstruction method {method!r}; "
-            f"choose from {RECONSTRUCTION_METHODS}"
-        )
-
-
-def _mean_total(views: list[MarginalTable]) -> float:
-    return float(sum(v.total() for v in views) / len(views)) if views else 0.0
-
-
-def _empty_target_table(total: float) -> MarginalTable:
-    """The 0-way marginal: one cell holding the (non-negative) total."""
-    return MarginalTable((), np.array([max(float(total), 0.0)]))
 
 
 def reconstruct(
@@ -95,6 +83,8 @@ def reconstruct(
     total: float | None = None,
 ) -> MarginalTable:
     """Reconstruct the marginal over ``target_attrs`` from view tables.
+
+    A batch of one: ``reconstruct_batch(views, [target_attrs], ...)[0]``.
 
     Parameters
     ----------
@@ -115,28 +105,9 @@ def reconstruct(
         view totals; long-lived callers (the serving engine) pass it
         in to avoid re-summing every view per query.
     """
-    _check_method(method)
-    target = resolve_target(views, target_attrs)
-    with obs.span("reconstruct"):
-        if not target:
-            # Degenerate residual basis: no solver can (or should) run.
-            obs.incr("reconstruct.empty_target")
-            return _empty_target_table(
-                total if total is not None else _mean_total(views)
-            )
-        if use_covering_view:
-            cover = covering_view(views, target)
-            if cover is not None:
-                obs.incr("reconstruct.covered")
-                return cover.project(target)
-        obs.incr(f"reconstruct.{method}")
-        keep_maximal = method != "lp"
-        constraints = extract_constraints(
-            views, target, keep_maximal_only=keep_maximal
-        )
-        if total is None:
-            total = _mean_total(views)
-        return _SOLVERS[method](constraints, target, float(total))
+    return reconstruct_batch(
+        views, [target_attrs], method, use_covering_view, total
+    )[0]
 
 
 def reconstruct_batch(
@@ -146,27 +117,36 @@ def reconstruct_batch(
     use_covering_view: bool = True,
     total: float | None = None,
 ) -> list[MarginalTable]:
-    """Reconstruct a whole workload of targets in one stacked solve.
+    """Reconstruct a whole workload of targets; parameters as
+    :func:`reconstruct`.
 
-    Covered targets (when ``use_covering_view``) and the empty set are
-    answered by projection; the rest share one call into the method's
-    batch solver (:func:`residual_batch` / :func:`maxent_batch`), or a
-    per-target loop for methods without a stacked implementation.
-    Results align with the input order.
+    The empty set answers with the single-cell total (its residual
+    basis is just the total's block, so no solver runs) and covered
+    targets (when ``use_covering_view``) by projection.  The rest
+    share one call into the method's batch solver
+    (:func:`residual_batch` / :func:`maxent_batch`, a per-target loop
+    for the other methods).  A target's answer does not depend on the
+    rest of the workload, except that maxent targets sharing a shape
+    share IPF sweeps and agree with their single solve up to solver
+    tolerance only.  Results align with the input order.
     """
-    _check_method(method)
+    if method not in _SOLVERS:
+        raise ReconstructionError(
+            f"unknown reconstruction method {method!r}; "
+            f"choose from {RECONSTRUCTION_METHODS}"
+        )
     targets = [resolve_target(views, attrs) for attrs in target_attrs_list]
     if total is None:
-        total = _mean_total(views)
+        total = sum(v.total() for v in views) / len(views) if views else 0.0
     total = float(total)
     out: list[MarginalTable | None] = [None] * len(targets)
 
     solve_indices: list[int] = []
-    with obs.span("reconstruct.batch"):
+    with obs.span("reconstruct"):
         for i, target in enumerate(targets):
             if not target:
                 obs.incr("reconstruct.empty_target")
-                out[i] = _empty_target_table(total)
+                out[i] = MarginalTable((), np.array([max(total, 0.0)]))
                 continue
             if use_covering_view:
                 cover = covering_view(views, target)
@@ -184,16 +164,9 @@ def reconstruct_batch(
                 )
                 for i in solve_indices
             ]
-            solver = _BATCH_SOLVERS.get(method)
-            if solver is not None:
-                tables = solver(
-                    constraint_lists, [targets[i] for i in solve_indices], total
-                )
-            else:
-                tables = [
-                    _SOLVERS[method](constraints, targets[i], total)
-                    for constraints, i in zip(constraint_lists, solve_indices)
-                ]
+            tables = _SOLVERS[method](
+                constraint_lists, [targets[i] for i in solve_indices], total
+            )
             for i, table in zip(solve_indices, tables):
                 out[i] = table
     return out  # type: ignore[return-value]

@@ -16,7 +16,6 @@ agree in the limit; tests check the constraint residual).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.reconstruction.constraints import (
     MarginalConstraint,
@@ -35,6 +34,8 @@ def least_squares(
     total: float,
 ) -> MarginalTable:
     """Minimum-L2-norm non-negative table matching the constraints."""
+    from scipy import optimize
+
     target = AttrSet(target_attrs)
     if not constraints:
         return MarginalTable.uniform(target, max(total, 0.0))

@@ -14,7 +14,6 @@ after the consistency step (Figure 3 compares the two).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.reconstruction.constraints import (
     MarginalConstraint,
@@ -31,6 +30,8 @@ def linear_program(
     total: float,
 ) -> MarginalTable:
     """Solve the min-max-violation LP with scipy's HiGHS backend."""
+    from scipy import optimize
+
     target = AttrSet(target_attrs)
     if not constraints:
         return MarginalTable.uniform(target, max(total, 0.0))

@@ -52,6 +52,19 @@ def _prepare_targets(
     return prepared
 
 
+def _unconstrained(target: AttrSet, total: float) -> MarginalTable:
+    """The max-entropy table under no constraints: uniform, trivially
+    converged."""
+    table = MarginalTable.uniform(target, total)
+    table.meta["maxent"] = {
+        "iterations": 0,
+        "residual": 0.0,
+        "converged": True,
+        "damped": False,
+    }
+    return table
+
+
 def maxent(
     constraints: list[MarginalConstraint],
     target_attrs,
@@ -85,14 +98,7 @@ def maxent(
     target = AttrSet(target_attrs)
     total = max(float(total), _TINY)
     if not constraints:
-        table = MarginalTable.uniform(target, total)
-        table.meta["maxent"] = {
-            "iterations": 0,
-            "residual": 0.0,
-            "converged": True,
-            "damped": False,
-        }
-        return table
+        return _unconstrained(target, total)
 
     prepared = []
     for attrs_arr, tgt in _prepare_targets(constraints, total):
@@ -174,8 +180,13 @@ def maxent_batch(
     bincount per query per constraint.  Each row still converges to
     its own max-entropy table; per-row mismatches decide convergence
     and the damped fallback re-runs only the rows that need it.
-    Results (and ``meta["maxent"]``) align with the input order and
-    agree with per-query :func:`maxent` up to solver tolerance.
+
+    A group sweeps until its slowest row converges and its rows share
+    ``iterations``, so a stacked row agrees with per-query
+    :func:`maxent` up to solver tolerance only.  A target alone in its
+    shape is solved by :func:`maxent` itself, which makes a batch of
+    one bit-identical to the single solve.  Results (and
+    ``meta["maxent"]``) align with the input order.
     """
     if len(constraint_lists) != len(target_attrs_list):
         raise ReconstructionError(
@@ -189,16 +200,19 @@ def maxent_batch(
     by_radix: dict[tuple[int, ...], list[int]] = {}
     for i, target in enumerate(targets):
         if not constraint_lists[i]:
-            table = MarginalTable.uniform(target, total)
-            table.meta["maxent"] = {
-                "iterations": 0, "residual": 0.0,
-                "converged": True, "damped": False,
-            }
-            out[i] = table
+            out[i] = _unconstrained(target, total)
             continue
         by_radix.setdefault(target.radix, []).append(i)
 
     for radix, indices in by_radix.items():
+        if len(indices) == 1:
+            # Alone in its shape: the single solve, so the answer does
+            # not depend on what else the batch holds.
+            (i,) = indices
+            out[i] = maxent(
+                constraint_lists[i], targets[i], total, max_cycles, tol
+            )
+            continue
         size = targets[indices[0]].size
         cells = np.full((len(indices), size), total / size)
         # positions signature -> (row indices, stacked prepared targets)
@@ -313,14 +327,7 @@ def maxent_dual(
     target = AttrSet(target_attrs)
     total = max(float(total), _TINY)
     if not constraints:
-        table = MarginalTable.uniform(target, total)
-        table.meta["maxent"] = {
-            "iterations": 0,
-            "residual": 0.0,
-            "converged": True,
-            "damped": False,
-        }
-        return table
+        return _unconstrained(target, total)
     matrix, rhs = build_constraint_system(constraints, target)
     rhs = np.maximum(rhs, 0.0)
     # Work with probabilities: b are target probabilities per row.

@@ -533,10 +533,6 @@ class ResidualIndex:
         out[0] = self.total
         return 1 + int(np.count_nonzero(slots[1:] < zero))
 
-    def solve(self, target_attrs) -> MarginalTable:
-        """One closed-form solve against the indexed views."""
-        return self.solve_batch([target_attrs])[0]
-
     def solve_batch(self, target_attrs_list) -> list[MarginalTable]:
         """Stacked solves, aligned with the input order."""
         targets = [self._resolve(attrs) for attrs in target_attrs_list]

@@ -31,7 +31,6 @@ from repro import obs
 from repro.core.reconstruction import (
     RECONSTRUCTION_METHODS,
     ResidualIndex,
-    reconstruct,
     reconstruct_batch,
 )
 from repro.core.synopsis import PriViewSynopsis
@@ -308,10 +307,11 @@ class QueryEngine:
 
         Uncovered (solved-path) misses are pre-solved in one stacked
         reconstruction per method (:func:`reconstruct_batch`) before
-        the per-key fan-out, so a batch of N cold solver queries costs
-        one solve, not N — the per-key futures then just install the
+        the per-key fan-out; the per-key futures then just install the
         pre-solved tables through the single-flight cache, keeping the
-        path/hit accounting identical to the one-at-a-time route.
+        path/hit accounting identical to the one-at-a-time route.  A
+        target alone in its shape gets the same single solve as
+        :meth:`answer`, so both routes return the same table.
         """
         batch_method = self._method(method)
         keys: list[tuple[tuple[int, ...], str]] = []
@@ -463,10 +463,10 @@ class QueryEngine:
                 table = plan.parent.project(target)
             elif self._views:
                 # A stacked batch solve may have produced this table
-                # already; otherwise solve here (with fallback).
-                table = presolved if presolved is not None else self._solve(
-                    target, method
-                )
+                # already; otherwise solve it as a batch of one.
+                table = presolved
+                if table is None:
+                    table = self._solve(method, [target], "single")[0]
             else:
                 # Viewless source: the mechanism answers directly.
                 table = self.source.marginal(target)
@@ -483,46 +483,47 @@ class QueryEngine:
                     self._residual_index = index
         return index
 
-    def _solve(self, target: tuple[int, ...], method: str) -> MarginalTable:
-        """One solved-path reconstruction, with the residual safety net.
+    def _solve(self, method: str, targets, mode: str) -> list[MarginalTable]:
+        """Solved-path reconstruction of ``targets``, with the residual
+        safety net; ``mode`` (``single``/``batch``) labels the timing.
 
         Residual solves run against the precomputed coefficient index;
         one that blows up (singular system, NaN noise in a view) falls
-        back to ``maxent`` — the answer is cached under the *requested*
-        method's key, and the fallback is counted in
-        ``serve.solve.fallback`` and the engine stats.
+        back to ``maxent`` — the answers are cached under the
+        *requested* method's key, and each fallback target is counted
+        in ``serve.solve.fallback`` and the engine stats.  A solve that
+        raises is not timed.
         """
         with obs.span(
             "serve.solve", "serve.solve_seconds",
-            self._solve_labels[method, "single"],
-        ):
+            self._solve_labels[method, mode],
+        ) as solve:
             try:
                 if method == "residual":
-                    return self._residual_solver().solve(target)
-                return reconstruct(
-                    self._views, target, method=method,
+                    try:
+                        return self._residual_solver().solve_batch(targets)
+                    except _SOLVE_FALLBACK_ERRORS:
+                        self._count_fallback(len(targets))
+                        method = "maxent"
+                return reconstruct_batch(
+                    self._views, targets, method=method,
                     use_covering_view=False, total=self._total,
                 )
-            except _SOLVE_FALLBACK_ERRORS:
-                if method != "residual":
-                    raise
-                self._count_fallback(1)
-                return reconstruct(
-                    self._views, target, method="maxent",
-                    use_covering_view=False, total=self._total,
-                )
+            except Exception:
+                solve.histogram = None
+                raise
 
     def _batch_solve(self, keys) -> dict:
         """Pre-solve a batch's uncovered misses, one stack per method.
 
         Plans every distinct uncached key; keys landing on the solved
         path are grouped by method and each group of two or more runs
-        one :func:`reconstruct_batch` call.  Returns ``{key: table}``
-        for the pre-solved keys — everything else (covered, derived,
-        already cached, singleton groups) flows through the ordinary
-        per-key route.  A ``residual`` stack that blows up falls back
-        to one ``maxent`` stack; any other failure is left to the
-        per-key solve so each key surfaces its own error.
+        one :meth:`_solve`.  Returns ``{key: table}`` for the
+        pre-solved keys — everything else (covered, derived, already
+        cached, singleton groups) flows through the ordinary per-key
+        route.  A group whose solve raises is skipped, so the per-key
+        route surfaces each key's own error (e.g. a categorical target
+        over an attribute no view holds).
         """
         if not self._views:
             return {}
@@ -537,34 +538,10 @@ class QueryEngine:
         for method, group in groups.items():
             if len(group) < 2:
                 continue
-            targets = [key[0] for key in group]
-            with obs.span(
-                "serve.solve", "serve.solve_seconds",
-                self._solve_labels[method, "batch"],
-            ) as solve:
-                try:
-                    if method == "residual":
-                        tables = self._residual_solver().solve_batch(targets)
-                    else:
-                        tables = reconstruct_batch(
-                            self._views, targets, method=method,
-                            use_covering_view=False, total=self._total,
-                        )
-                except _SOLVE_FALLBACK_ERRORS:
-                    if method != "residual":
-                        solve.histogram = None
-                        continue
-                    self._count_fallback(len(group))
-                    tables = reconstruct_batch(
-                        self._views, targets, method="maxent",
-                        use_covering_view=False, total=self._total,
-                    )
-                except ReproError:
-                    # e.g. a categorical target over an attribute no
-                    # view holds, so no arity: a request error, which
-                    # the per-key route raises and counts
-                    solve.histogram = None
-                    continue
+            try:
+                tables = self._solve(method, [key[0] for key in group], "batch")
+            except (ReproError, *_SOLVE_FALLBACK_ERRORS):
+                continue
             obs.incr("serve.solve.batched", len(group))
             presolved.update(zip(group, tables))
         return presolved

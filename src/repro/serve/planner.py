@@ -26,7 +26,7 @@ consulted only once no view covers the target.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.exceptions import DimensionError, QueryError
@@ -78,20 +78,6 @@ SupersetLookup = Callable[
 ]
 
 
-def _scan_supersets(
-    target: tuple[int, ...], cached: Mapping[tuple[int, ...], MarginalTable]
-) -> tuple[tuple[int, ...], MarginalTable] | None:
-    """The :data:`SupersetLookup` rule over a ``{attrs: table}`` mapping
-    by scanning it: ties go to the first superset in iteration order
-    (an LRU snapshot lists the least recently used first)."""
-    target_set = set(target)
-    best: tuple[int, ...] | None = None
-    for attrs in cached:
-        if target_set.issubset(attrs) and (best is None or len(attrs) < len(best)):
-            best = attrs
-    return None if best is None else (best, cached[best])
-
-
 class QueryPlanner:
     """Classifies attribute sets against the synopsis's views."""
 
@@ -124,16 +110,14 @@ class QueryPlanner:
         self,
         attrs,
         method: str,
-        cached_supersets: Mapping[tuple[int, ...], MarginalTable] | None = None,
         find_superset: SupersetLookup | None = None,
     ) -> QueryPlan:
         """Plan the query, preferring covered > derived > solved.
 
-        The derived path's candidates are the completed same-method
-        reconstructions, given either as a ``{attrs: table}`` snapshot
-        (``cached_supersets``, scanned) or as a lookup
-        (``find_superset``, the engine's attribute index).  Either is
-        consulted only when no view covers the target.
+        ``find_superset`` (the engine's attribute index) finds the
+        derived path's candidate among the completed same-method
+        reconstructions; it is consulted only when no view covers the
+        target, and without it the plan is never derived.
         """
         target = self.validate(attrs)
         target_mask = 0
@@ -142,12 +126,7 @@ class QueryPlanner:
         for view_mask, view_attrs in self._view_masks:
             if target_mask & view_mask == target_mask:
                 return QueryPlan(target, method, PATH_COVERED, view_attrs)
-        if find_superset is not None:
-            found = find_superset(target)
-        elif cached_supersets:
-            found = _scan_supersets(target, cached_supersets)
-        else:
-            found = None
+        found = None if find_superset is None else find_superset(target)
         if found is not None and found[0] != target:
             return QueryPlan(target, method, PATH_DERIVED, found[0], found[1])
         return QueryPlan(target, method, PATH_SOLVED, None)

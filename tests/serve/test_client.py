@@ -183,13 +183,13 @@ class TestTypedErrors:
             assert client.marginal((0, 1), dataset="chain")["attrs"] == [0, 1]
 
     def test_504_timeout(self, chain_synopsis, monkeypatch):
-        real = engine_module.reconstruct
+        real = engine_module.reconstruct_batch
 
-        def slow(views, target_attrs, **kwargs):
+        def slow(views, targets, **kwargs):
             time.sleep(0.3)
-            return real(views, target_attrs, **kwargs)
+            return real(views, targets, **kwargs)
 
-        monkeypatch.setattr(engine_module, "reconstruct", slow)
+        monkeypatch.setattr(engine_module, "reconstruct_batch", slow)
         engine = QueryEngine(chain_synopsis, workers=2)
         with MarginalServer(engine, port=0, request_timeout=0.05) as srv:
             with QueryClient(srv.url) as client:

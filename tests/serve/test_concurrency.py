@@ -22,17 +22,18 @@ UNCOVERED = [(0, 4), (1, 6), (2, 7)]
 
 
 def test_single_flight_under_hammering(chain_synopsis, monkeypatch):
-    real = engine_module.reconstruct
+    real = engine_module.reconstruct_batch
     lock = threading.Lock()
     solver_calls: dict[tuple, int] = {}
 
-    def counting(views, target_attrs, **kwargs):
-        key = tuple(sorted(target_attrs))
+    def counting(views, targets, **kwargs):
         with lock:
-            solver_calls[key] = solver_calls.get(key, 0) + 1
-        return real(views, target_attrs, **kwargs)
+            for target_attrs in targets:
+                key = tuple(sorted(target_attrs))
+                solver_calls[key] = solver_calls.get(key, 0) + 1
+        return real(views, targets, **kwargs)
 
-    monkeypatch.setattr(engine_module, "reconstruct", counting)
+    monkeypatch.setattr(engine_module, "reconstruct_batch", counting)
 
     with QueryEngine(chain_synopsis, workers=8) as engine:
         # reference answers, computed through the same plumbing

@@ -20,30 +20,22 @@ def engine(chain_synopsis):
 
 
 class _CountingReconstruct:
-    """Thread-safe counter over both reconstruction entry points: a
-    batch of targets counts each target once, so "computed exactly
-    once" holds whether a query went through ``reconstruct`` or a
-    stacked ``reconstruct_batch``."""
+    """Thread-safe counter over ``reconstruct_batch``, the one
+    reconstruction entry point: a batch counts each target once, so
+    "computed exactly once" holds whether a query was solved alone (a
+    batch of one) or in a stacked batch."""
 
     def __init__(self, module=engine_module):
         self._lock = threading.Lock()
         self.calls: dict[tuple, int] = {}
-        self._real = module.reconstruct
         self._real_batch = module.reconstruct_batch
 
-    def _count(self, target_attrs) -> None:
-        key = tuple(sorted(target_attrs))
-        with self._lock:
-            self.calls[key] = self.calls.get(key, 0) + 1
-
-    def __call__(self, views, target_attrs, **kwargs):
-        self._count(target_attrs)
-        return self._real(views, target_attrs, **kwargs)
-
-    def batch(self, views, target_attrs_list, **kwargs):
+    def __call__(self, views, target_attrs_list, **kwargs):
         targets = list(target_attrs_list)
-        for target_attrs in targets:
-            self._count(target_attrs)
+        with self._lock:
+            for target_attrs in targets:
+                key = tuple(sorted(target_attrs))
+                self.calls[key] = self.calls.get(key, 0) + 1
         return self._real_batch(views, targets, **kwargs)
 
     @property
@@ -55,8 +47,7 @@ class _CountingReconstruct:
 @pytest.fixture
 def counting(monkeypatch):
     counter = _CountingReconstruct()
-    monkeypatch.setattr(engine_module, "reconstruct", counter)
-    monkeypatch.setattr(engine_module, "reconstruct_batch", counter.batch)
+    monkeypatch.setattr(engine_module, "reconstruct_batch", counter)
     return counter
 
 
@@ -88,15 +79,15 @@ class TestAnswer:
             QueryEngine(engine.source, default_method="magic")
 
     def test_timeout_raises_504_semantics(self, chain_synopsis, monkeypatch):
-        real = engine_module.reconstruct
+        real = engine_module.reconstruct_batch
 
-        def slow(views, target_attrs, **kwargs):
+        def slow(views, targets, **kwargs):
             import time
 
             time.sleep(0.5)
-            return real(views, target_attrs, **kwargs)
+            return real(views, targets, **kwargs)
 
-        monkeypatch.setattr(engine_module, "reconstruct", slow)
+        monkeypatch.setattr(engine_module, "reconstruct_batch", slow)
         with QueryEngine(chain_synopsis, workers=2) as engine:
             with pytest.raises(QueryTimeoutError):
                 engine.answer((0, 4), timeout=0.05)
@@ -114,6 +105,22 @@ class TestBatch:
         answers = engine.answer_batch([(0, 1), (1, 0)])
         answers[0].table.counts[:] = -5.0
         assert answers[1].table.counts.min() >= 0.0
+
+    @pytest.mark.parametrize("method", ["maxent", "residual"])
+    def test_matches_per_key_answers(self, chain_synopsis, method):
+        """Uncovered targets, each alone in its shape: the batch route
+        returns the per-key route's tables bit for bit."""
+        workload = [(0, 4), (1, 4, 6), (0, 2, 5, 7)]
+        with QueryEngine(chain_synopsis) as batch, \
+                QueryEngine(chain_synopsis) as per_key:
+            batched = batch.answer_batch(workload, method=method)
+            for attrs, answer in zip(workload, batched):
+                single = per_key.answer(attrs, method=method)
+                assert answer.path == single.path == PATH_SOLVED
+                assert (
+                    answer.table.counts.tobytes()
+                    == single.table.counts.tobytes()
+                )
 
     def test_per_query_method_override(self, engine):
         answers = engine.answer_batch([((0, 4), "lsq"), (0, 4)], method="maxent")
@@ -204,8 +211,7 @@ class TestSynopsisRouting:
         import repro.core.synopsis as synopsis_module
 
         counter = _CountingReconstruct(synopsis_module)
-        monkeypatch.setattr(synopsis_module, "reconstruct", counter)
-        monkeypatch.setattr(synopsis_module, "reconstruct_batch", counter.batch)
+        monkeypatch.setattr(synopsis_module, "reconstruct_batch", counter)
         tables = chain_synopsis.marginals([(0, 4), [4, 0], (0, 4), (1, 6)])
         assert counter.calls == {(0, 4): 1, (1, 6): 1}
         assert [t.attrs for t in tables] == [(0, 4), (0, 4), (0, 4), (1, 6)]

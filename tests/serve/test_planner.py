@@ -23,6 +23,20 @@ def planner(chain_synopsis):
     return QueryPlanner(chain_synopsis.views, chain_synopsis.num_attributes)
 
 
+def superset_finder(cached):
+    """A ``find_superset`` over a ``{attrs: table}`` dict: the smallest
+    superset, ties to the first in iteration order."""
+
+    def find(target):
+        supersets = [attrs for attrs in cached if set(target) <= set(attrs)]
+        if not supersets:
+            return None
+        best = min(supersets, key=len)
+        return best, cached[best]
+
+    return find
+
+
 class TestClassification:
     def test_every_block_subset_is_covered(self, planner, chain_design):
         for block in chain_design.blocks:
@@ -40,20 +54,21 @@ class TestClassification:
 
     def test_cached_superset_yields_derived(self, planner, chain_synopsis):
         parent = chain_synopsis.marginal((0, 1, 4))
-        cached = {(0, 1, 4): parent}
-        plan = planner.plan((0, 4), "maxent", cached)
+        find = superset_finder({(0, 1, 4): parent})
+        plan = planner.plan((0, 4), "maxent", find)
         assert plan.path == PATH_DERIVED
         assert plan.source == (0, 1, 4)
+        assert plan.parent is parent
         # covered always wins over derived
-        assert planner.plan((0, 1), "maxent", cached).path == PATH_COVERED
+        assert planner.plan((0, 1), "maxent", find).path == PATH_COVERED
         # the cached entry itself is not "derived" from itself
-        assert planner.plan((0, 1, 4), "maxent", cached).path == PATH_SOLVED
+        assert planner.plan((0, 1, 4), "maxent", find).path == PATH_SOLVED
 
     def test_smallest_superset_wins(self, planner, chain_synopsis):
         big = chain_synopsis.marginal((0, 1, 4, 6))
         small = chain_synopsis.marginal((0, 4, 6))
-        cached = {(0, 1, 4, 6): big, (0, 4, 6): small}
-        plan = planner.plan((0, 6), "maxent", cached)
+        find = superset_finder({(0, 1, 4, 6): big, (0, 4, 6): small})
+        plan = planner.plan((0, 6), "maxent", find)
         assert plan.path == PATH_DERIVED
         assert plan.source == (0, 4, 6)
 

@@ -136,15 +136,15 @@ class TestErrors:
         assert excinfo.value.code == 400
 
     def test_timeout_504(self, chain_synopsis, monkeypatch):
-        real = engine_module.reconstruct
+        real = engine_module.reconstruct_batch
 
-        def slow(views, target_attrs, **kwargs):
+        def slow(views, targets, **kwargs):
             import time
 
             time.sleep(0.5)
-            return real(views, target_attrs, **kwargs)
+            return real(views, targets, **kwargs)
 
-        monkeypatch.setattr(engine_module, "reconstruct", slow)
+        monkeypatch.setattr(engine_module, "reconstruct_batch", slow)
         engine = QueryEngine(chain_synopsis, workers=2)
         with MarginalServer(engine, port=0, request_timeout=0.05) as srv:
             with QueryClient(srv.url, timeout=10.0) as client, \

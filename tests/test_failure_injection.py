@@ -161,10 +161,10 @@ class TestResidualFallback:
         from repro.core.reconstruction import ResidualIndex
         from repro.serve.engine import QueryEngine
 
-        def blow_up(self, target):
+        def blow_up(self, targets):
             raise exc
 
-        monkeypatch.setattr(ResidualIndex, "solve", blow_up)
+        monkeypatch.setattr(ResidualIndex, "solve_batch", blow_up)
         with obs.session() as sess:
             with QueryEngine(synopsis, default_method="residual") as eng:
                 answer = eng.answer((0, 5))  # uncovered -> solved path
@@ -203,10 +203,10 @@ class TestResidualFallback:
         from repro.serve import engine as engine_mod
         from repro.serve.engine import QueryEngine
 
-        def always_fail(views, target, method="maxent", **kwargs):
+        def always_fail(views, targets, method="maxent", **kwargs):
             raise ReconstructionError("boom")
 
-        monkeypatch.setattr(engine_mod, "reconstruct", always_fail)
+        monkeypatch.setattr(engine_mod, "reconstruct_batch", always_fail)
         with QueryEngine(synopsis, default_method="maxent") as eng:
             with pytest.raises(ReconstructionError):
                 eng.answer((0, 5))
