@@ -12,12 +12,16 @@ accounted for by planner path in both ``/stats`` and the obs counters.
 
 The p95 gates time ``SAMPLES`` distinct cold queries per path, covered
 and solved alternately on one engine, so both paths see the same
-machine noise.
+machine noise.  The file is written before the bars are asserted, so a
+run that misses a bar still leaves its readings (and the machine they
+came from) behind.
 """
 
 import itertools
 import json
+import os
 import pathlib
+import platform
 from time import perf_counter
 
 import numpy as np
@@ -127,25 +131,9 @@ def test_bench_serve_export(scale):
         counters = sess.metrics.snapshot()["counters"]
         latency_obs = sess.metrics.observation("serve.request_seconds")
 
-    # -- accounting: every request lands in exactly one planner path --
-    assert stats["requests"] == sum(stats["paths"].values())
-    assert stats["requests"] == 3 * len(everything)
-    assert counters["serve.request"] == stats["requests"]
-    for path, count in stats["paths"].items():
-        assert counters.get(f"serve.path.{path}", 0) == count
-    assert latency_obs["count"] == stats["requests"]
-    assert stats["paths"][PATH_COVERED] == 3 * len(covered)
-    assert stats["paths"][PATH_SOLVED] == 3 * len(uncovered)
-    assert stats["paths"][PATH_DERIVED] == 3 * len(derived)
-
-    # -- the serving claim: warm >= 10x faster than the cold solver path
     warm_all = warm + warm_again
     cold_solved_mean = sum(cold_solved) / len(cold_solved)
     warm_mean = sum(warm_all) / len(warm_all)
-    assert warm_mean * 10 <= cold_solved_mean, (
-        f"warm {warm_mean * 1e3:.3f}ms vs cold solver "
-        f"{cold_solved_mean * 1e3:.3f}ms"
-    )
 
     def _summary(latencies):
         return {
@@ -200,20 +188,9 @@ def test_bench_serve_export(scale):
     residual_p95_vs_covered = (
         solved_methods["residual"]["p95_ms"] / covered_p95_ms
     )
-    # -- the ReM claim: residual retires the solved-path hot spot -----
     categorical = _categorical_residual()
-    assert max(
-        residual_p95_vs_covered, categorical["residual_p95_vs_covered"]
-    ) <= 2.0, (
-        f"binary: residual solved p95 "
-        f"{solved_methods['residual']['p95_ms']:.3f}ms vs covered p95 "
-        f"{covered_p95_ms:.3f}ms ({residual_p95_vs_covered:.2f}x); "
-        f"categorical: solved p95 {categorical['solved_p95_ms']:.3f}ms vs "
-        f"covered p95 {categorical['covered_p95_ms']:.3f}ms "
-        f"({categorical['residual_p95_vs_covered']:.2f}x); bar 2x"
-    )
 
-    # -- batch path: one stacked solve for the whole workload ---------
+    # -- batch path: one pre-solve per method for the whole workload --
     batch = {}
     for method in ("maxent", "residual"):
         with obs.session() as bsess:
@@ -238,6 +215,12 @@ def test_bench_serve_export(scale):
     payload = {
         "benchmark": f"serve_kosarak_{design.notation}_k{K}",
         "scale": scale.name,
+        "env": {
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "workload": {
             "d": D,
             "k": K,
@@ -263,6 +246,35 @@ def test_bench_serve_export(scale):
     }
     out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serve.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    # -- accounting: every request lands in exactly one planner path --
+    assert stats["requests"] == sum(stats["paths"].values())
+    assert stats["requests"] == 3 * len(everything)
+    assert counters["serve.request"] == stats["requests"]
+    for path, count in stats["paths"].items():
+        assert counters.get(f"serve.path.{path}", 0) == count
+    assert latency_obs["count"] == stats["requests"]
+    assert stats["paths"][PATH_COVERED] == 3 * len(covered)
+    assert stats["paths"][PATH_SOLVED] == 3 * len(uncovered)
+    assert stats["paths"][PATH_DERIVED] == 3 * len(derived)
+
+    # -- the serving claim: warm >= 10x faster than the cold solver path
+    assert warm_mean * 10 <= cold_solved_mean, (
+        f"warm {warm_mean * 1e3:.3f}ms vs cold solver "
+        f"{cold_solved_mean * 1e3:.3f}ms"
+    )
+
+    # -- the ReM claim: residual retires the solved-path hot spot -----
+    assert max(
+        residual_p95_vs_covered, categorical["residual_p95_vs_covered"]
+    ) <= 2.0, (
+        f"binary: residual solved p95 "
+        f"{solved_methods['residual']['p95_ms']:.3f}ms vs covered p95 "
+        f"{covered_p95_ms:.3f}ms ({residual_p95_vs_covered:.2f}x); "
+        f"categorical: solved p95 {categorical['solved_p95_ms']:.3f}ms vs "
+        f"covered p95 {categorical['covered_p95_ms']:.3f}ms "
+        f"({categorical['residual_p95_vs_covered']:.2f}x); bar 2x"
+    )
 
 
 def _categorical_residual() -> dict:

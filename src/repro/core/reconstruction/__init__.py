@@ -14,9 +14,10 @@ requested solver combines the views' partial information:
 
 :func:`reconstruct_batch` answers a whole workload of targets at once,
 and :func:`reconstruct` is a batch of one.  ``residual`` targets of one
-shape share one stacked transform and ``maxent`` targets of one shape
-share vectorised IPF sweeps; a target alone in its shape gets the
-single solve, so its answer never depends on the rest of the batch.
+shape share the coefficient assembly and one vectorised simplex
+projection; every other method solves one target at a time.  Each
+answer, with its ``meta``, is bit-identical to the target's single
+solve, so it never depends on the rest of the batch.
 
 Views and targets may be binary or categorical: a target takes its
 arities from the views (:func:`resolve_target`), and every solver
@@ -42,7 +43,7 @@ from repro.core.reconstruction.constraints import (
 )
 from repro.core.reconstruction.least_squares import least_squares
 from repro.core.reconstruction.linear_program import linear_program
-from repro.core.reconstruction.maxent import maxent, maxent_batch, maxent_dual
+from repro.core.reconstruction.maxent import maxent, maxent_dual
 from repro.core.reconstruction.residual import (
     ResidualIndex,
     fwht,
@@ -65,7 +66,7 @@ def _each(solver):
 
 #: method -> batch solver ``(constraint_lists, targets, total) -> tables``
 _SOLVERS = {
-    "maxent": maxent_batch,
+    "maxent": _each(maxent),
     "maxent-dual": _each(maxent_dual),
     "residual": residual_batch,
     "lsq": _each(least_squares),
@@ -124,11 +125,10 @@ def reconstruct_batch(
     basis is just the total's block, so no solver runs) and covered
     targets (when ``use_covering_view``) by projection.  The rest
     share one call into the method's batch solver
-    (:func:`residual_batch` / :func:`maxent_batch`, a per-target loop
-    for the other methods).  A target's answer does not depend on the
-    rest of the workload, except that maxent targets sharing a shape
-    share IPF sweeps and agree with their single solve up to solver
-    tolerance only.  Results align with the input order.
+    (:func:`residual_batch`, a per-target loop for the other methods).
+    Every table and its ``meta`` equal the target's single solve bit
+    for bit, whatever else the workload holds.  Results align with the
+    input order.
     """
     if method not in _SOLVERS:
         raise ReconstructionError(
@@ -183,7 +183,6 @@ __all__ = [
     "least_squares",
     "linear_program",
     "maxent",
-    "maxent_batch",
     "maxent_dual",
     "project_to_simplex",
     "reconstruct",

@@ -7,7 +7,9 @@ the cells so each constrained sub-marginal matches its target.  IPF is
 fast (a handful of O(cells) sweeps), always non-negative, and exactly
 solves the optimisation the paper states — for binary and categorical
 targets alike ("can be applied directly with non-binary categorical
-attributes", Section 4.7).
+attributes", Section 4.7).  Each target is its own IPF problem: a
+workload runs :func:`maxent` once per target, so an answer and its
+convergence record never depend on what else was asked.
 
 A scipy dual-ascent solver (:func:`maxent_dual`) is provided as an
 independent cross-check; both are exercised against each other in the
@@ -25,11 +27,7 @@ import numpy as np
 from repro import obs
 from repro.core.reconstruction.constraints import MarginalConstraint
 from repro.exceptions import ReconstructionError
-from repro.marginals.projection import (
-    constraint_matrix,
-    projection_map,
-    subset_positions,
-)
+from repro.marginals.projection import projection_map, subset_positions
 from repro.marginals.attrs import AttrSet
 from repro.marginals.table import MarginalTable
 
@@ -158,153 +156,6 @@ def _ipf_sweeps(
             cells *= factor[pmap]
         mismatch /= total
         if mismatch < tol:
-            break
-    return mismatch, cycles
-
-
-def maxent_batch(
-    constraint_lists: list[list[MarginalConstraint]],
-    target_attrs_list,
-    total: float,
-    max_cycles: int = 500,
-    tol: float = 1e-9,
-) -> list[MarginalTable]:
-    """Stacked IPF: fit many targets with vectorised sweeps.
-
-    The aggregate-then-adjust idiom: targets are grouped by their
-    arity tuple (``target.radix``), and within a group constraints
-    sharing the same *position signature* (which attribute positions of
-    the target they pin) share one projection
-    map — each sweep then applies every such signature to all of its
-    rows at once through a single dense matmul + gather, instead of one
-    bincount per query per constraint.  Each row still converges to
-    its own max-entropy table; per-row mismatches decide convergence
-    and the damped fallback re-runs only the rows that need it.
-
-    A group sweeps until its slowest row converges and its rows share
-    ``iterations``, so a stacked row agrees with per-query
-    :func:`maxent` up to solver tolerance only.  A target alone in its
-    shape is solved by :func:`maxent` itself, which makes a batch of
-    one bit-identical to the single solve.  Results (and
-    ``meta["maxent"]``) align with the input order.
-    """
-    if len(constraint_lists) != len(target_attrs_list):
-        raise ReconstructionError(
-            f"{len(constraint_lists)} constraint lists for "
-            f"{len(target_attrs_list)} targets"
-        )
-    targets = [AttrSet(attrs) for attrs in target_attrs_list]
-    total = max(float(total), _TINY)
-    out: list[MarginalTable | None] = [None] * len(targets)
-
-    by_radix: dict[tuple[int, ...], list[int]] = {}
-    for i, target in enumerate(targets):
-        if not constraint_lists[i]:
-            out[i] = _unconstrained(target, total)
-            continue
-        by_radix.setdefault(target.radix, []).append(i)
-
-    for radix, indices in by_radix.items():
-        if len(indices) == 1:
-            # Alone in its shape: the single solve, so the answer does
-            # not depend on what else the batch holds.
-            (i,) = indices
-            out[i] = maxent(
-                constraint_lists[i], targets[i], total, max_cycles, tol
-            )
-            continue
-        size = targets[indices[0]].size
-        cells = np.full((len(indices), size), total / size)
-        # positions signature -> (row indices, stacked prepared targets)
-        by_positions: dict[tuple[int, ...], tuple[list[int], list[np.ndarray]]] = {}
-        for row, i in enumerate(indices):
-            for attrs_arr, tgt in _prepare_targets(constraint_lists[i], total):
-                positions = subset_positions(
-                    targets[i], tuple(int(a) for a in attrs_arr)
-                )
-                rows, tgts = by_positions.setdefault(positions, ([], []))
-                rows.append(row)
-                tgts.append(tgt)
-        # Largest constraints first, mirroring extract_constraints'
-        # ordering for the per-query solver.
-        groups = [
-            (np.asarray(rows), np.vstack(tgts),
-             projection_map(radix, positions),
-             constraint_matrix(radix, positions))
-            for positions, (rows, tgts) in sorted(
-                by_positions.items(), key=lambda kv: (-len(kv[0]), kv[0])
-            )
-        ]
-        mismatch, cycles = _ipf_sweeps_grouped(
-            cells, groups, total, max_cycles, tol, damping=1.0
-        )
-        damped = mismatch > tol
-        if damped.any():
-            # Re-run only the unconverged rows with damped updates.
-            stale = np.flatnonzero(damped)
-            index_of = {row: slot for slot, row in enumerate(stale)}
-            sub_groups = []
-            for rows, tgts, pmap, matrix in groups:
-                keep = np.isin(rows, stale)
-                if keep.any():
-                    sub_groups.append((
-                        np.asarray([index_of[r] for r in rows[keep]]),
-                        tgts[keep], pmap, matrix,
-                    ))
-            sub_cells = cells[stale]
-            sub_mismatch, extra = _ipf_sweeps_grouped(
-                sub_cells, sub_groups, total, max_cycles, tol, damping=0.5
-            )
-            cells[stale] = sub_cells
-            mismatch[stale] = sub_mismatch
-            cycles += extra
-        obs.incr("maxent.calls", len(indices))
-        obs.incr("maxent.sweeps", cycles)
-        for row, i in enumerate(indices):
-            table = MarginalTable(targets[i], cells[row])
-            table.meta["maxent"] = {
-                "iterations": cycles,
-                "residual": float(mismatch[row]),
-                "converged": bool(mismatch[row] <= tol),
-                "damped": bool(damped[row]),
-            }
-            out[i] = table
-    return out  # type: ignore[return-value]
-
-
-def _ipf_sweeps_grouped(
-    cells: np.ndarray,
-    groups: list,
-    total: float,
-    max_cycles: int,
-    tol: float,
-    damping: float,
-) -> tuple[np.ndarray, int]:
-    """Vectorised IPF sweeps over an ``(n, cells)`` row stack, in place.
-
-    ``groups`` holds ``(rows, targets, pmap, matrix)`` per position
-    signature; returns ``(relative mismatch per row, sweeps run)``.
-    """
-    n = cells.shape[0]
-    mismatch = np.full(n, np.inf)
-    cycles = 0
-    for _ in range(max_cycles):
-        cycles += 1
-        mismatch = np.zeros(n)
-        for rows, tgts, pmap, matrix in groups:
-            # current[r] = sub-marginal of row r under this signature —
-            # the dense matmul equivalent of a per-row bincount.
-            current = cells[rows] @ matrix.T
-            np.add.at(
-                mismatch, rows, np.abs(current - tgts).sum(axis=-1)
-            )
-            factor = tgts / np.maximum(current, _TINY)
-            np.clip(factor, 0.0, 1e12, out=factor)
-            if damping != 1.0:
-                factor = factor**damping
-            cells[rows] *= factor[:, pmap]
-        mismatch /= total
-        if (mismatch < tol).all():
             break
     return mismatch, cycles
 

@@ -341,14 +341,13 @@ def residual_batch(
     target_attrs_list,
     total: float,
 ) -> list[MarginalTable]:
-    """Stacked residual solve: many targets, one inversion per shape.
+    """Stacked residual solve: many targets, one projection per shape.
 
     Each target's constraints become a :class:`ResidualIndex`; targets
-    of one shape stack into a single inverse transform and one
-    vectorised simplex projection, so a serving batch of uncovered
-    queries costs one solve instead of ``n``.  Results align with the
-    input order.  All targets share ``total`` (the synopsis's common
-    ``N_V``).
+    of one shape stack their coefficients, invert row by row and share
+    one vectorised simplex projection, so each table equals its single
+    solve bit for bit.  Results align with the input order.  All
+    targets share ``total`` (the synopsis's common ``N_V``).
     """
     if len(constraint_lists) != len(target_attrs_list):
         raise ReconstructionError(
@@ -377,8 +376,8 @@ def _constraint_tables(constraints, target: AttrSet) -> list[MarginalTable]:
 
 
 def _solve_stacked(targets, indexes, total: float) -> list[MarginalTable]:
-    """Assemble each target from its index and invert same-shape
-    targets together."""
+    """Assemble each target from its index, and invert and project
+    same-shape targets together."""
     out: list[MarginalTable | None] = [None] * len(targets)
     by_radix: dict[tuple[int, ...], list[int]] = {}
     for i, target in enumerate(targets):
@@ -418,7 +417,7 @@ def _invert_theta(
     total: float,
 ) -> list[MarginalTable]:
     """Invert stacked same-shape coefficient rows into final tables:
-    one batched transform, one vectorised simplex projection.
+    one transform per row, one vectorised simplex projection.
 
     Feasibility here reduces to non-negativity: each row's cell sum is
     its block ``∅``, ``theta[0] = total``, so a row needs projecting
@@ -427,7 +426,17 @@ def _invert_theta(
     :func:`project_to_simplex`'s clamp).
     """
     size = theta.shape[-1]
-    cells = contrast_transform(theta, radix, inverse=True)
+    # Each row inverts as a one-row product, as the single solve does:
+    # numpy runs a one-row product as gemv and a stack as gemm, and the
+    # two round differently (by up to 5.7e-14 of a 3000-count table),
+    # so a stacked inverse would make an answer depend on its batch.
+    # A lone row is that product already and skips the copy.
+    if len(theta) == 1:
+        cells = contrast_transform(theta, radix, inverse=True)
+    else:
+        cells = np.empty_like(theta)
+        for row, coefficients in enumerate(theta):
+            cells[row] = contrast_transform(coefficients, radix, inverse=True)
     negative_mass = -np.minimum(cells, 0.0).sum(axis=-1)
     needs = negative_mass > 0.0
     count = np.count_nonzero(needs)
@@ -466,8 +475,9 @@ class ResidualIndex:
     least-squares combination for raw ones) and keeps one block per
     determined subset — one scalar per subset on binary data.  A solve
     assembles the target's coefficients by dictionary lookup and
-    shares the batched inversion with :func:`residual_batch`.  Built by
-    the serving engine once per synopsis.
+    shares the per-shape inversion and projection with
+    :func:`residual_batch`.  Built by the serving engine once per
+    synopsis.
 
     Raises :class:`ReconstructionError` at construction when a view
     holds non-finite mass, so callers can fall back *before* caching

@@ -151,9 +151,10 @@ class PriViewSynopsis:
         are normalised and answered from the first computation; every
         slot still gets its own table, aligned with the input order.
         With an attached serving engine the whole workload goes through
-        its de-duplicating batch path; without one the distinct
-        uncovered sets share a single stacked solve
-        (:func:`~repro.core.reconstruction.reconstruct_batch`).
+        its de-duplicating batch path; without one the distinct sets go
+        through one :func:`~repro.core.reconstruction.reconstruct_batch`
+        call.  Either way each table equals :meth:`marginal`'s, bit for
+        bit.
         """
         if self._engine is not None:
             return [

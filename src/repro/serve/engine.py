@@ -305,13 +305,14 @@ class QueryEngine:
         with the input order; repeated/equivalent sets are computed
         once and each slot receives its own table copy.
 
-        Uncovered (solved-path) misses are pre-solved in one stacked
+        Uncovered (solved-path) misses are pre-solved in one
         reconstruction per method (:func:`reconstruct_batch`) before
         the per-key fan-out; the per-key futures then just install the
         pre-solved tables through the single-flight cache, keeping the
-        path/hit accounting identical to the one-at-a-time route.  A
-        target alone in its shape gets the same single solve as
-        :meth:`answer`, so both routes return the same table.
+        path/hit accounting identical to the one-at-a-time route.
+        Every pre-solved table equals the one :meth:`answer` computes
+        for its key, bit for bit, so the cache holds the same answer
+        whichever route ran first.
         """
         batch_method = self._method(method)
         keys: list[tuple[tuple[int, ...], str]] = []
@@ -492,29 +493,46 @@ class QueryEngine:
         back to ``maxent`` — the answers are cached under the
         *requested* method's key, and each fallback target is counted
         in ``serve.solve.fallback`` and the engine stats.  A solve that
-        raises is not timed.
+        raises is not timed.  Answers that are not exact solves are
+        counted too: ``serve.solve.unconverged`` per maxent table that
+        hit its sweep cap, ``serve.solve.projected`` per residual table
+        the simplex projection moved.
         """
         with obs.span(
             "serve.solve", "serve.solve_seconds",
             self._solve_labels[method, mode],
         ) as solve:
             try:
+                tables = None
                 if method == "residual":
                     try:
-                        return self._residual_solver().solve_batch(targets)
+                        tables = self._residual_solver().solve_batch(targets)
                     except _SOLVE_FALLBACK_ERRORS:
                         self._count_fallback(len(targets))
                         method = "maxent"
-                return reconstruct_batch(
-                    self._views, targets, method=method,
-                    use_covering_view=False, total=self._total,
-                )
+                if tables is None:
+                    tables = reconstruct_batch(
+                        self._views, targets, method=method,
+                        use_covering_view=False, total=self._total,
+                    )
             except Exception:
                 solve.histogram = None
                 raise
+            unconverged = projected = 0
+            for table in tables:
+                meta = table.meta
+                if "residual" in meta:
+                    projected += meta["residual"]["projected"]
+                elif "maxent" in meta:
+                    unconverged += not meta["maxent"]["converged"]
+            if unconverged:
+                obs.incr("serve.solve.unconverged", unconverged)
+            if projected:
+                obs.incr("serve.solve.projected", projected)
+        return tables
 
     def _batch_solve(self, keys) -> dict:
-        """Pre-solve a batch's uncovered misses, one stack per method.
+        """Pre-solve a batch's uncovered misses, one solve per method.
 
         Plans every distinct uncached key; keys landing on the solved
         path are grouped by method and each group of two or more runs

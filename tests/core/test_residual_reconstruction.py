@@ -11,7 +11,7 @@ regardless of the draw:
 * agreement — residual and maxent answer dense mildly-biased workloads
   within tolerance of each other (they optimise different completions,
   so agreement is approximate by design);
-* batching — the stacked solvers match their one-at-a-time siblings;
+* batching — a batch answer equals its one-at-a-time solve bit for bit;
 * degenerate bases — empty and full-domain attribute sets are explicit
   everywhere (solver, front door, synopsis).
 """
@@ -26,7 +26,6 @@ from repro.core.reconstruction import (
     extract_constraints,
     fwht,
     maxent,
-    maxent_batch,
     project_to_simplex,
     reconstruct,
     reconstruct_batch,
@@ -300,7 +299,7 @@ class TestBatching:
         for cons, target, table in zip(constraint_lists, targets, batched):
             single = residual(cons, target, total)
             assert table.attrs == target
-            assert np.allclose(table.counts, single.counts)
+            assert table.counts.tobytes() == single.counts.tobytes()
             assert table.meta["residual"] == single.meta["residual"]
 
     def test_maxent_batch_matches_single(self, rng):
@@ -311,16 +310,14 @@ class TestBatching:
             AttrSet(sorted(rng.choice(7, size=k, replace=False)))
             for k in (2, 3, 4, 4, 5)
         ]
-        constraint_lists = [extract_constraints(views, t) for t in targets]
-        batched = maxent_batch(constraint_lists, targets, total)
-        for cons, target, table in zip(constraint_lists, targets, batched):
-            single = maxent(cons, target, total)
-            if len(target) != 4:
-                # alone in its shape: the single solve itself
-                assert table.counts.tobytes() == single.counts.tobytes()
-                assert table.meta == single.meta
-            else:
-                assert np.abs(table.counts - single.counts).max() < 1e-6 * total
+        batched = reconstruct_batch(
+            views, targets, method="maxent", use_covering_view=False,
+            total=total,
+        )
+        for target, table in zip(targets, batched):
+            single = maxent(extract_constraints(views, target), target, total)
+            assert table.counts.tobytes() == single.counts.tobytes()
+            assert table.meta == single.meta
             assert table.meta["maxent"]["converged"]
 
     def test_length_mismatch_raises(self):
@@ -336,7 +333,7 @@ class TestBatching:
         for attrs, table in zip(workload, batched):
             single = reconstruct(views, attrs, method=method)
             assert table.attrs == AttrSet(attrs)
-            assert np.allclose(table.counts, single.counts, atol=1e-6)
+            assert table.counts.tobytes() == single.counts.tobytes()
 
 
 class TestDegenerateBases:

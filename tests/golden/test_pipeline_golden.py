@@ -5,7 +5,8 @@ Three slices, each in its own fixture next to this file:
 * ``binary.json`` — sha256 of the views of a seeded binary ``PriView``
   fit, serially and on two workers, and of its answers
   on a fixed query set: covered targets, plus solved targets for every
-  reconstruction method, one at a time and through ``marginals()``;
+  reconstruction method, one at a time and through ``marginals()``
+  (the two must hash alike);
 * ``categorical.json`` — sha256 of the views of a seeded
   ``PriView`` fit and of its covered answers, plus the
   stored cells of its uncovered ``maxent`` answers.  Those are
@@ -241,6 +242,14 @@ def test_binary_query_sets_match_golden(binary):
 )
 def test_binary_answers_match_golden(answer, binary):
     assert binary["answers"][answer] == _fixture("binary")["answers"][answer]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_binary_batch_answers_equal_single(method, binary):
+    """An answer depends only on the synopsis, the target and the
+    method, never on the rest of its batch."""
+    for answers in (binary["answers"], _fixture("binary")["answers"]):
+        assert answers[f"{method}/batch"] == answers[f"{method}/single"]
 
 
 def test_categorical_views_match_golden(categorical):

@@ -7,9 +7,13 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.reconstruction as reconstruction
 import repro.serve.engine as engine_module
 from repro import obs
+from repro.core.priview import PriView
+from repro.core.reconstruction import maxent
 from repro.exceptions import QueryError, QueryTimeoutError
+from repro.marginals.dataset import Dataset
 from repro.serve import PATH_SOLVED, QueryEngine
 
 
@@ -108,9 +112,13 @@ class TestBatch:
 
     @pytest.mark.parametrize("method", ["maxent", "residual"])
     def test_matches_per_key_answers(self, chain_synopsis, method):
-        """Uncovered targets, each alone in its shape: the batch route
-        returns the per-key route's tables bit for bit."""
-        workload = [(0, 4), (1, 4, 6), (0, 2, 5, 7)]
+        """Uncovered targets with same-shape mates: the batch route
+        returns the per-key route's tables and meta bit for bit."""
+        workload = [
+            (0, 4), (1, 5), (0, 6),
+            (0, 1, 4), (0, 1, 5), (1, 4, 6),
+            (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 2, 6), (0, 2, 5, 7),
+        ]
         with QueryEngine(chain_synopsis) as batch, \
                 QueryEngine(chain_synopsis) as per_key:
             batched = batch.answer_batch(workload, method=method)
@@ -121,6 +129,7 @@ class TestBatch:
                     answer.table.counts.tobytes()
                     == single.table.counts.tobytes()
                 )
+                assert answer.table.meta == single.table.meta
 
     def test_per_query_method_override(self, engine):
         answers = engine.answer_batch([((0, 4), "lsq"), (0, 4)], method="maxent")
@@ -194,6 +203,49 @@ class TestStatsAccounting:
         assert solved["count"] == 3
         assert solved["min"] <= first.elapsed_s <= solved["max"]
         assert errors["count"] == 1
+
+
+class TestDegradedAnswersAreCounted:
+    """No silent degradation: capped and projected answers are counted
+    on both routes."""
+
+    _WORKLOAD = [(0, 4), (1, 5), (1, 4, 6), (0, 2, 5, 7)]
+
+    def _counters(self, synopsis, method):
+        with obs.session() as sess:
+            with QueryEngine(synopsis) as engine:
+                tables = [engine.answer(self._WORKLOAD[0], method=method).table]
+                tables += [
+                    answer.table for answer in engine.answer_batch(
+                        self._WORKLOAD[1:], method=method
+                    )
+                ]
+            return tables, sess.metrics.snapshot()["counters"]
+
+    def test_unconverged_maxent_is_counted(self, chain_synopsis, monkeypatch):
+        def capped(constraint_lists, targets, total):
+            return [
+                maxent(c, t, total, max_cycles=1, tol=0.0)
+                for c, t in zip(constraint_lists, targets)
+            ]
+
+        monkeypatch.setitem(reconstruction._SOLVERS, "maxent", capped)
+        tables, counters = self._counters(chain_synopsis, "maxent")
+        unconverged = sum(not t.meta["maxent"]["converged"] for t in tables)
+        assert unconverged >= 1
+        assert counters["serve.solve.unconverged"] == unconverged
+        assert "serve.solve.projected" not in counters
+
+    def test_projected_residual_is_counted(self, chain_design):
+        # sparse independent data: the noise drives cells below zero
+        rng = np.random.default_rng(5)
+        data = (rng.random((3000, 8)) < 0.05).astype(np.uint8)
+        sparse = PriView(1.0, design=chain_design, seed=11).fit(Dataset(data))
+        tables, counters = self._counters(sparse, "residual")
+        projected = sum(t.meta["residual"]["projected"] for t in tables)
+        assert projected >= 1
+        assert counters["serve.solve.projected"] == projected
+        assert "serve.solve.unconverged" not in counters
 
 
 class TestSynopsisRouting:
